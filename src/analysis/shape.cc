@@ -47,11 +47,6 @@ Shape InferAddRowBroadcast(const Shape& a, const Shape& bias) {
   return a;
 }
 
-Shape InferGatherRows(const Shape& a, const std::vector<int>& rows) {
-  CheckRowSubset("GatherRows", rows, a.rows);
-  return {static_cast<int>(rows.size()), a.cols};
-}
-
 Shape InferInnerProductBce(const Shape& z, const Shape& target) {
   if (target.rows != z.rows || target.cols != z.rows) {
     Fail("InnerProductBceLoss",
@@ -109,29 +104,23 @@ Shape InferDecKl(const Shape& z, const Shape& centers, const Shape& target_q,
   return {1, 1};
 }
 
-Shape InferGmmMixture(const char* op, const Shape& z, const Shape& means,
-                      const Shape& logvars, const Shape& pi_logits,
-                      const std::vector<int>& rows) {
-  if (means.cols != z.cols) {
-    Fail(op, "means are " + means.ToString() + " but embeddings are " +
-                 z.ToString());
-  }
-  if (logvars != means) {
-    Fail(op, "logvars are " + logvars.ToString() + " but means are " +
-                 means.ToString());
-  }
-  if (pi_logits.rows != 1 || pi_logits.cols != means.rows) {
-    Fail(op, "mixture logits must be 1x" + std::to_string(means.rows) +
-                 ", got " + pi_logits.ToString());
-  }
-  CheckRowSubset(op, rows, z.rows);
-  return {1, 1};
-}
-
 Shape InferGmmKl(const Shape& z, const Shape& means, const Shape& logvars,
                  const Shape& pi_logits, const Shape& target_q,
                  const std::vector<int>& rows) {
-  InferGmmMixture("GmmKlLoss", z, means, logvars, pi_logits, rows);
+  if (means.cols != z.cols) {
+    Fail("GmmKlLoss", "means are " + means.ToString() +
+                          " but embeddings are " + z.ToString());
+  }
+  if (logvars != means) {
+    Fail("GmmKlLoss", "logvars are " + logvars.ToString() +
+                          " but means are " + means.ToString());
+  }
+  if (pi_logits.rows != 1 || pi_logits.cols != means.rows) {
+    Fail("GmmKlLoss", "mixture logits must be 1x" +
+                          std::to_string(means.rows) + ", got " +
+                          pi_logits.ToString());
+  }
+  CheckRowSubset("GmmKlLoss", rows, z.rows);
   if (target_q.rows != z.rows || target_q.cols != means.rows) {
     Fail("GmmKlLoss", "target Q must be " + std::to_string(z.rows) + "x" +
                           std::to_string(means.rows) + ", got " +

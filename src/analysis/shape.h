@@ -43,12 +43,10 @@ struct Shape {
 Shape InferMatMul(const Shape& a, const Shape& b);
 /// Sparse (m,n) x dense (n,d) -> (m,d).
 Shape InferSpmm(const Shape& s, const Shape& x);
-/// Same-shape binary op (Add/Sub/Hadamard); `op` names the caller.
+/// Same-shape binary op (Add/Hadamard); `op` names the caller.
 Shape InferElementwise(const char* op, const Shape& a, const Shape& b);
 /// a + row-broadcast bias; bias must be 1 x a.cols.
 Shape InferAddRowBroadcast(const Shape& a, const Shape& bias);
-/// Row selection; every index must be in [0, a.rows).
-Shape InferGatherRows(const Shape& a, const std::vector<int>& rows);
 /// BCE(sigmoid(Z Zᵀ), target): target must be square with z.rows rows.
 Shape InferInnerProductBce(const Shape& z, const Shape& target);
 /// Prior KL: mu and logvar must agree.
@@ -60,12 +58,8 @@ Shape InferKMeans(const Shape& z, const Shape& centers,
 /// DEC KL: centers (K,d) with d = z.cols, target Q (z.rows, K).
 Shape InferDecKl(const Shape& z, const Shape& centers, const Shape& target_q,
                  const std::vector<int>& rows);
-/// Mixture losses (GmmNll/GmmKl): means and logvars (K,d) with d = z.cols,
-/// mixture logits (1,K); `op` names the caller.
-Shape InferGmmMixture(const char* op, const Shape& z, const Shape& means,
-                      const Shape& logvars, const Shape& pi_logits,
-                      const std::vector<int>& rows);
-/// GmmKl additionally takes the constant target Q (z.rows, K).
+/// GMM KL: means and logvars (K,d) with d = z.cols, mixture logits (1,K),
+/// target Q (z.rows, K).
 Shape InferGmmKl(const Shape& z, const Shape& means, const Shape& logvars,
                  const Shape& pi_logits, const Shape& target_q,
                  const std::vector<int>& rows);

@@ -48,27 +48,20 @@ TapeLintReport LintTape(const Tape& tape, Var loss,
     return report;
   }
 
-  // Nodes only reference earlier nodes, so a single reverse sweep computes
-  // both reachability sets. `value_reach`: the node's value feeds the loss
-  // through any input edge. `grad_reach`: Backward propagates a gradient
-  // into the node (a subset of value_reach; GmmKlLoss reads its mixture
-  // operands without differentiating them).
-  std::vector<char> value_reach(n, 0);
-  std::vector<char> grad_reach(n, 0);
-  value_reach[loss.id] = grad_reach[loss.id] = 1;
+  // Nodes only reference earlier nodes, so a single reverse sweep marks
+  // every node whose value feeds the loss. Backward differentiates every
+  // input edge, so these are also exactly the nodes that receive a gradient.
+  std::vector<char> reach(n, 0);
+  reach[loss.id] = 1;
   for (int id = loss.id; id >= 0; --id) {
-    if (!value_reach[id]) continue;
-    const TapeNodeView& v = views[id];
-    for (size_t s = 0; s < v.inputs.size(); ++s) {
-      const int in = v.inputs[s];
-      if (in < 0) continue;
-      value_reach[in] = 1;
-      if (grad_reach[id] && v.grad_flow[s]) grad_reach[in] = 1;
+    if (!reach[id]) continue;
+    for (const int in : views[id].inputs) {
+      if (in >= 0) reach[in] = 1;
     }
   }
 
   for (int id = 0; id < n; ++id) {
-    if (value_reach[id]) continue;
+    if (reach[id]) continue;
     report.findings.push_back(
         {TapeLintFinding::Kind::kDeadNode, id, nullptr,
          "dead node " + NodeLabel(views[id]) +
@@ -82,7 +75,7 @@ TapeLintReport LintTape(const Tape& tape, Var loss,
     for (const TapeNodeView& v : views) {
       if (v.param != param) continue;
       if (first_leaf < 0) first_leaf = v.id;
-      if (grad_reach[v.id]) {
+      if (reach[v.id]) {
         reached = true;
         break;
       }

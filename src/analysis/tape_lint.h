@@ -18,9 +18,9 @@ struct TapeLintFinding {
     kDeadNode,
     /// A registered parameter with no `Leaf` on this tape at all.
     kParamNotOnTape,
-    /// A parameter whose leaves are all outside the loss's gradient cone
-    /// (the classic "frozen encoder" bug: the value may still be read, but
-    /// `Backward` will never update it).
+    /// A parameter whose leaves all sit on dead subgraphs (the classic
+    /// "frozen encoder" bug: the leaf is recorded, but `Backward` will never
+    /// update it).
     kParamNoGradPath,
   };
 
@@ -47,8 +47,9 @@ struct TapeLintReport {
 /// entry of `params` (typically `model->Params()`) — parameters that were
 /// never registered with `Tape::Leaf` or whose leaves receive no gradient
 /// from the loss. Parameters intentionally excluded from gradient training
-/// (e.g. GMM-VGAE's EM-owned mixture) should either be omitted from
-/// `params` or have their findings treated as expected by the caller.
+/// (e.g. GMM-VGAE's EM-owned mixture, which the loss reads as external
+/// constants) are never registered, so they report `kParamNotOnTape`; omit
+/// them from `params` or treat those findings as expected.
 ///
 /// Invalid and foreign-tape `Var`s cannot occur inside a recorded tape (ops
 /// reject them with `TapeError` at creation), so the audit only has to

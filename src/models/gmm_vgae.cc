@@ -115,23 +115,13 @@ void GmmVgae::PreStep(const TrainContext& ctx) {
   ++steps_since_refresh_;
 }
 
-void GmmVgae::PostStep(const TrainContext& ctx) {
-  if (!ctx.include_clustering) return;
-  // Discard mixture gradients (EM owns those parameters; adam_ stepped
-  // encoder parameters only — see InitClusteringHead).
-  means_.ZeroGrad();
-  logvars_.ZeroGrad();
-  pi_logits_.ZeroGrad();
-}
-
 Var GmmVgae::BuildLossOnTape(Tape* tape, const TrainContext& ctx, Rng* rng) {
   if (!ctx.include_clustering) return Vgae::BuildLossOnTape(tape, ctx, rng);
   const Heads heads = SampleOnTape(tape, rng);
-  const Var means = tape->Leaf(&means_);
-  const Var logvars = tape->Leaf(&logvars_);
-  const Var logits = tape->Leaf(&pi_logits_);
-  const Var clus = tape->GmmKlLoss(heads.mu, means, logvars, logits,
-                                   &target_q_, ctx.omega);
+  // The mixture is EM-owned: the loss reads it as constants.
+  const Var clus =
+      tape->GmmKlLoss(heads.mu, &means_.value, &logvars_.value,
+                      &pi_logits_.value, &target_q_, ctx.omega);
   const Var recon = tape->InnerProductBceLoss(
       heads.z, ctx.recon.graph, ctx.recon.pos_weight, ctx.recon.norm);
   const Var kl = tape->GaussianKlLoss(heads.mu, heads.logvar);

@@ -42,11 +42,11 @@ class GmmVgae : public Vgae {
  protected:
   /// Runs the warm-started EM refit on schedule during clustering.
   void PreStep(const TrainContext& ctx) override;
-  /// Discards mixture gradients after the encoder step (EM owns them).
-  void PostStep(const TrainContext& ctx) override;
 
  private:
-  // Converts the parameter blocks to/from a GmmModel.
+  // Converts the parameter blocks to/from a GmmModel. The blocks are
+  // `Parameter`s so checkpoints and `Params()` carry them, but the
+  // optimizer never covers them and the loss reads them as constants.
   GmmModel CurrentMixture() const;
   void StoreMixture(const GmmModel& gmm);
   void RefreshMixture();

@@ -153,9 +153,10 @@ class GaeModel {
 
  protected:
   /// Hooks around the gradient step of `TrainStep`. `PreStep` runs before
-  /// the forward pass (discriminator updates, DEC target refreshes);
-  /// `PostStep` after the Adam step (clearing gradients of leaves excluded
-  /// from this model's optimizer). Defaults are no-ops.
+  /// the forward pass (discriminator updates, DEC target and EM mixture
+  /// refreshes); `PostStep` after the Adam step (ARGAE/ARVGAE clear the
+  /// gradients the generator loss left on their discriminator, which this
+  /// step's optimizer does not cover). Defaults are no-ops.
   virtual void PreStep(const TrainContext& ctx);
   virtual void PostStep(const TrainContext& ctx);
 

@@ -35,14 +35,14 @@ Matrix Scalar(double v) {
   return m;
 }
 
-// Stable per-op metric names; order must match the Op enum in autograd.h.
+// Stable per-op metric names; order must match the Op enum in autograd.h
+// (checked in Tape::OpName).
 constexpr const char* kOpMetricNames[] = {
-    "leaf",      "constant",   "matmul",     "spmm",
-    "add",       "sub",        "hadamard",   "scale",
-    "relu",      "exp",        "tanh",       "add_row_broadcast",
-    "gather_rows", "inner_product_bce", "gaussian_kl", "kmeans",
-    "dec_kl",    "gmm_nll",    "gmm_kl",     "bce_with_logits",
-    "add_scalars"};
+    "leaf",     "constant",          "matmul",      "spmm",
+    "add",      "hadamard",          "scale",       "relu",
+    "exp",      "add_row_broadcast", "inner_product_bce",
+    "gaussian_kl", "kmeans",         "dec_kl",      "gmm_kl",
+    "bce_with_logits", "add_scalars"};
 constexpr size_t kNumOps = std::size(kOpMetricNames);
 
 Shape ShapeOf(const Matrix& m) { return {m.rows(), m.cols()}; }
@@ -62,15 +62,19 @@ obs::Counter* OpCounter(size_t op) {
 
 }  // namespace
 
+const char* Tape::OpName(Op op) {
+  static_assert(kNumOps == static_cast<size_t>(Op::kNumOps),
+                "kOpMetricNames needs exactly one entry per Tape::Op");
+  return kOpMetricNames[static_cast<size_t>(op)];
+}
+
 int Tape::Push(Node n) {
   if (backward_done_) {
-    throw TapeError(std::string("Tape::") +
-                    kOpMetricNames[static_cast<size_t>(n.op)] +
+    throw TapeError(std::string("Tape::") + OpName(n.op) +
                     ": op recorded after Backward; build a fresh tape");
   }
   if (obs::Enabled()) {
-    const size_t op = static_cast<size_t>(n.op);
-    if (op < kNumOps) OpCounter(op)->Inc();
+    OpCounter(static_cast<size_t>(n.op))->Inc();
     obs::CountTapeNode(n.value.size());
   }
   nodes_.push_back(std::move(n));
@@ -146,18 +150,6 @@ Var Tape::Add(Var a, Var b) {
   return {Push(std::move(n)), this};
 }
 
-Var Tape::Sub(Var a, Var b) {
-  CheckVar("Sub", a);
-  CheckVar("Sub", b);
-  InferElementwise("Sub", ShapeOf(node(a).value), ShapeOf(node(b).value));
-  Node n;
-  n.op = Op::kSub;
-  n.a = a.id;
-  n.b = b.id;
-  n.value = rgae::Sub(node(a).value, node(b).value);
-  return {Push(std::move(n)), this};
-}
-
 Var Tape::Hadamard(Var a, Var b) {
   CheckVar("Hadamard", a);
   CheckVar("Hadamard", b);
@@ -207,19 +199,6 @@ Var Tape::Exp(Var a) {
   return {Push(std::move(n)), this};
 }
 
-Var Tape::Tanh(Var a) {
-  CheckVar("Tanh", a);
-  Node n;
-  n.op = Op::kTanh;
-  n.a = a.id;
-  n.value = node(a).value;
-  for (int r = 0; r < n.value.rows(); ++r) {
-    double* p = n.value.row(r);
-    for (int c = 0; c < n.value.cols(); ++c) p[c] = std::tanh(p[c]);
-  }
-  return {Push(std::move(n)), this};
-}
-
 Var Tape::AddRowBroadcast(Var a, Var bias) {
   CheckVar("AddRowBroadcast", a);
   CheckVar("AddRowBroadcast", bias);
@@ -234,17 +213,6 @@ Var Tape::AddRowBroadcast(Var a, Var bias) {
     double* p = n.value.row(r);
     for (int c = 0; c < n.value.cols(); ++c) p[c] += bv(0, c);
   }
-  return {Push(std::move(n)), this};
-}
-
-Var Tape::GatherRows(Var a, std::vector<int> rows) {
-  CheckVar("GatherRows", a);
-  InferGatherRows(ShapeOf(node(a).value), rows);
-  Node n;
-  n.op = Op::kGatherRows;
-  n.a = a.id;
-  n.value = node(a).value.GatherRows(rows);
-  n.indices = std::move(rows);
   return {Push(std::move(n)), this};
 }
 
@@ -381,79 +349,20 @@ Var Tape::DecKlLoss(Var z, Var centers, const Matrix* target_q,
   return {Push(std::move(n)), this};
 }
 
-Var Tape::GmmNllLoss(Var z, Var means, Var logvars, Var pi_logits,
-                     std::vector<int> rows) {
-  CheckVar("GmmNllLoss", z);
-  CheckVar("GmmNllLoss", means);
-  CheckVar("GmmNllLoss", logvars);
-  CheckVar("GmmNllLoss", pi_logits);
-  const Matrix& zv = node(z).value;
-  const Matrix& mu = node(means).value;
-  const Matrix& lv = node(logvars).value;
-  const Matrix& lg = node(pi_logits).value;
-  InferGmmMixture("GmmNllLoss", ShapeOf(zv), ShapeOf(mu), ShapeOf(lv),
-                  ShapeOf(lg), rows);
-  const int k = mu.rows();
-  const int d = zv.cols();
-  if (rows.empty()) {
-    rows.resize(zv.rows());
-    for (int i = 0; i < zv.rows(); ++i) rows[i] = i;
-  }
-  const int m = static_cast<int>(rows.size());
-  // log softmax of mixture logits.
-  double max_logit = lg(0, 0);
-  for (int j = 1; j < k; ++j) max_logit = std::max(max_logit, lg(0, j));
-  double lse = 0.0;
-  for (int j = 0; j < k; ++j) lse += std::exp(lg(0, j) - max_logit);
-  lse = max_logit + std::log(lse);
-  std::vector<double> log_pi(k);
-  for (int j = 0; j < k; ++j) log_pi[j] = lg(0, j) - lse;
-
-  Node n;
-  n.op = Op::kGmmNll;
-  n.a = z.id;
-  n.b = means.id;
-  n.c = logvars.id;
-  n.d = pi_logits.id;
-  n.aux = Matrix(m, k);  // Responsibilities r_ik.
-  double loss = 0.0;
-  std::vector<double> ll(k);
-  for (int r = 0; r < m; ++r) {
-    const int i = rows[r];
-    double row_max = -1e300;
-    for (int j = 0; j < k; ++j) {
-      double s = log_pi[j];
-      for (int c = 0; c < d; ++c) {
-        const double diff = zv(i, c) - mu(j, c);
-        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * std::exp(-lv(j, c)));
-      }
-      ll[j] = s;
-      row_max = std::max(row_max, s);
-    }
-    double sum = 0.0;
-    for (int j = 0; j < k; ++j) sum += std::exp(ll[j] - row_max);
-    const double li = row_max + std::log(sum);
-    for (int j = 0; j < k; ++j) n.aux(r, j) = std::exp(ll[j] - li);
-    loss -= li;
-  }
-  n.value = Scalar(loss / m);
-  n.indices = std::move(rows);
-  return {Push(std::move(n)), this};
-}
-
-Var Tape::GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
-                    const Matrix* target_q, std::vector<int> rows) {
+Var Tape::GmmKlLoss(Var z, const Matrix* means, const Matrix* logvars,
+                    const Matrix* pi_logits, const Matrix* target_q,
+                    std::vector<int> rows) {
   CheckVar("GmmKlLoss", z);
-  CheckVar("GmmKlLoss", means);
-  CheckVar("GmmKlLoss", logvars);
-  CheckVar("GmmKlLoss", pi_logits);
+  if (means == nullptr || logvars == nullptr || pi_logits == nullptr) {
+    throw TapeError("Tape::GmmKlLoss: null mixture operand");
+  }
   if (target_q == nullptr) {
     throw TapeError("Tape::GmmKlLoss: null target distribution");
   }
   const Matrix& zv = node(z).value;
-  const Matrix& mu = node(means).value;
-  const Matrix& lv = node(logvars).value;
-  const Matrix& lg = node(pi_logits).value;
+  const Matrix& mu = *means;
+  const Matrix& lv = *logvars;
+  const Matrix& lg = *pi_logits;
   InferGmmKl(ShapeOf(zv), ShapeOf(mu), ShapeOf(lv), ShapeOf(lg),
              ShapeOf(*target_q), rows);
   const int k = mu.rows();
@@ -475,11 +384,13 @@ Var Tape::GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
   Node n;
   n.op = Op::kGmmKl;
   n.a = z.id;
-  n.b = means.id;
-  n.c = logvars.id;
-  n.d = pi_logits.id;  // Read-only input: no gradient flows (EM-owned).
   n.ext = target_q;
+  n.ext2 = means;
   n.aux = Matrix(m, k);  // Responsibilities r_ik.
+  n.aux2 = Matrix(k, d);  // Inverse variances exp(-logvar), for backward.
+  for (int j = 0; j < k; ++j) {
+    for (int c = 0; c < d; ++c) n.aux2(j, c) = std::exp(-lv(j, c));
+  }
   double loss = 0.0;
   std::vector<double> ll(k);
   for (int r = 0; r < m; ++r) {
@@ -489,7 +400,7 @@ Var Tape::GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
       double s = log_pi[j];
       for (int c = 0; c < d; ++c) {
         const double diff = zv(i, c) - mu(j, c);
-        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * std::exp(-lv(j, c)));
+        s -= 0.5 * (lv(j, c) + kLog2Pi + diff * diff * n.aux2(j, c));
       }
       ll[j] = s;
       row_max = std::max(row_max, s);
@@ -566,15 +477,8 @@ std::vector<TapeNodeView> Tape::NodeViews() const {
     const Node& n = nodes_[i];
     TapeNodeView v;
     v.id = static_cast<int>(i);
-    v.op = kOpMetricNames[static_cast<size_t>(n.op)];
-    v.inputs = {n.a, n.b, n.c, n.d};
-    for (size_t s = 0; s < v.inputs.size(); ++s) {
-      v.grad_flow[s] = v.inputs[s] >= 0;
-    }
-    if (n.op == Op::kGmmKl) {
-      // Mixture operands are EM-owned: Backward only reaches z (input 0).
-      v.grad_flow[1] = v.grad_flow[2] = v.grad_flow[3] = false;
-    }
+    v.op = OpName(n.op);
+    v.inputs = {n.a, n.b};
     v.param = n.param;
     v.rows = n.value.rows();
     v.cols = n.value.cols();
@@ -612,6 +516,7 @@ void Tape::BackwardNode(int id) {
       n.param->grad += g;
       break;
     case Op::kConstant:
+    case Op::kNumOps:  // Sentinel; never recorded.
       break;
     case Op::kMatMul: {
       EnsureGrad(n.a);
@@ -630,13 +535,6 @@ void Tape::BackwardNode(int id) {
       EnsureGrad(n.b);
       nodes_[n.a].grad += g;
       nodes_[n.b].grad += g;
-      break;
-    }
-    case Op::kSub: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      nodes_[n.a].grad += g;
-      nodes_[n.b].grad -= g;
       break;
     }
     case Op::kHadamard: {
@@ -666,17 +564,6 @@ void Tape::BackwardNode(int id) {
       nodes_[n.a].grad += rgae::Hadamard(g, n.value);
       break;
     }
-    case Op::kTanh: {
-      EnsureGrad(n.a);
-      Matrix& ga = nodes_[n.a].grad;
-      for (int r = 0; r < g.rows(); ++r) {
-        for (int c = 0; c < g.cols(); ++c) {
-          const double t = n.value(r, c);
-          ga(r, c) += g(r, c) * (1.0 - t * t);
-        }
-      }
-      break;
-    }
     case Op::kAddRowBroadcast: {
       EnsureGrad(n.a);
       EnsureGrad(n.b);
@@ -684,17 +571,6 @@ void Tape::BackwardNode(int id) {
       Matrix& gb = nodes_[n.b].grad;
       for (int r = 0; r < g.rows(); ++r) {
         for (int c = 0; c < g.cols(); ++c) gb(0, c) += g(r, c);
-      }
-      break;
-    }
-    case Op::kGatherRows: {
-      EnsureGrad(n.a);
-      Matrix& ga = nodes_[n.a].grad;
-      for (size_t r = 0; r < n.indices.size(); ++r) {
-        const int src = n.indices[r];
-        for (int c = 0; c < g.cols(); ++c) {
-          ga(src, c) += g(static_cast<int>(r), c);
-        }
       }
       break;
     }
@@ -786,65 +662,23 @@ void Tape::BackwardNode(int id) {
       }
       break;
     }
-    case Op::kGmmNll: {
-      EnsureGrad(n.a);
-      EnsureGrad(n.b);
-      EnsureGrad(n.c);
-      EnsureGrad(n.d);
-      const Matrix& z = nodes_[n.a].value;
-      const Matrix& mu = nodes_[n.b].value;
-      const Matrix& lv = nodes_[n.c].value;
-      const Matrix& lg = nodes_[n.d].value;
-      Matrix& gz = nodes_[n.a].grad;
-      Matrix& gmu = nodes_[n.b].grad;
-      Matrix& glv = nodes_[n.c].grad;
-      Matrix& glg = nodes_[n.d].grad;
-      const int k = mu.rows();
-      const int d = z.cols();
-      const double gs = g(0, 0) / static_cast<double>(n.indices.size());
-      // Softmax of logits (for the logit gradient).
-      double max_logit = lg(0, 0);
-      for (int j = 1; j < k; ++j) max_logit = std::max(max_logit, lg(0, j));
-      std::vector<double> pi(k);
-      double lse = 0.0;
-      for (int j = 0; j < k; ++j) {
-        pi[j] = std::exp(lg(0, j) - max_logit);
-        lse += pi[j];
-      }
-      for (int j = 0; j < k; ++j) pi[j] /= lse;
-      for (size_t r = 0; r < n.indices.size(); ++r) {
-        const int i = n.indices[r];
-        for (int j = 0; j < k; ++j) {
-          const double resp = n.aux(static_cast<int>(r), j);
-          glg(0, j) += gs * (pi[j] - resp);
-          for (int c = 0; c < d; ++c) {
-            const double inv_var = std::exp(-lv(j, c));
-            const double diff = z(i, c) - mu(j, c);
-            gz(i, c) += gs * resp * diff * inv_var;
-            gmu(j, c) -= gs * resp * diff * inv_var;
-            glv(j, c) += gs * resp * 0.5 * (1.0 - diff * diff * inv_var);
-          }
-        }
-      }
-      break;
-    }
     case Op::kGmmKl: {
       EnsureGrad(n.a);
       const Matrix& z = nodes_[n.a].value;
-      const Matrix& mu = nodes_[n.b].value;
-      const Matrix& lv = nodes_[n.c].value;
+      const Matrix& mu = *n.ext2;
+      const Matrix& inv_var = n.aux2;
       Matrix& gz = nodes_[n.a].grad;
       const int k = mu.rows();
       const double gs = g(0, 0) / static_cast<double>(n.indices.size());
       // d KL / d logit_ik = (r_ik - q_ik); d logit_ik / d z_ic =
-      // -(z_ic - mu_kc) / var_kc. Mixture leaves are EM-owned: no gradient.
+      // -(z_ic - mu_kc) / var_kc.
       for (size_t r = 0; r < n.indices.size(); ++r) {
         const int i = n.indices[r];
         for (int j = 0; j < k; ++j) {
           const double coeff =
               gs * (n.aux(static_cast<int>(r), j) - (*n.ext)(i, j));
           for (int c = 0; c < z.cols(); ++c) {
-            gz(i, c) -= coeff * (z(i, c) - mu(j, c)) * std::exp(-lv(j, c));
+            gz(i, c) -= coeff * (z(i, c) - mu(j, c)) * inv_var(j, c);
           }
         }
       }

@@ -43,13 +43,11 @@ struct Var {
 
 /// Introspection view of one recorded tape node, consumed by the tape linter
 /// (`src/analysis/tape_lint.h`). `inputs` holds node ids (-1 = unused slot);
-/// `grad_flow[i]` says whether `Backward` propagates a gradient into
-/// `inputs[i]` (false for the EM-owned mixture operands of `GmmKlLoss`).
+/// `Backward` propagates a gradient into every input.
 struct TapeNodeView {
   int id = -1;
   const char* op = "";
-  std::array<int, 4> inputs{{-1, -1, -1, -1}};
-  std::array<bool, 4> grad_flow{{false, false, false, false}};
+  std::array<int, 2> inputs{{-1, -1}};
   const Parameter* param = nullptr;  // Non-null for parameter leaves.
   int rows = 0;
   int cols = 0;
@@ -73,11 +71,16 @@ struct TapeNodeView {
 ///                             centers/assignments (Proposition 2 form).
 ///  * `DecKlLoss`            — DGAE's KL(Q ‖ P) with Student-t soft
 ///                             assignments (Appendix B, Eqs. 19–20).
-///  * `GmmNllLoss`           — GMM-VGAE's mixture negative log-likelihood.
+///  * `GmmKlLoss`            — GMM-VGAE's KL(Q ‖ R) against the
+///                             responsibilities of a fixed mixture.
 ///  * `BceWithLogits`        — discriminator loss for ARGAE/ARVGAE.
 ///
 /// All loss nodes are 1x1 matrices. Losses that drive the clustering head
 /// accept an optional node subset (the reliable set Ω from operator Ξ).
+///
+/// Operands the loss does not differentiate (graphs, centers, targets, the
+/// EM-owned mixture) are external constants passed by pointer; they must
+/// outlive the tape. Every `Var` operand receives a gradient.
 ///
 /// Every op validates its operands at node-creation time — shapes (via the
 /// inference rules in `src/analysis/shape.h`), `Var` ownership, null
@@ -108,8 +111,6 @@ class Tape {
   Var Spmm(const CsrMatrix* s, Var x);
   /// a + b (same shape).
   Var Add(Var a, Var b);
-  /// a - b (same shape).
-  Var Sub(Var a, Var b);
   /// a ⊙ b (same shape).
   Var Hadamard(Var a, Var b);
   /// s * a.
@@ -118,12 +119,8 @@ class Tape {
   Var Relu(Var a);
   /// exp(a) elementwise.
   Var Exp(Var a);
-  /// tanh(a) elementwise.
-  Var Tanh(Var a);
   /// a + row-broadcast bias; bias must be 1 x a.cols().
   Var AddRowBroadcast(Var a, Var bias);
-  /// Selects rows of `a` in the given order.
-  Var GatherRows(Var a, std::vector<int> rows);
 
   // ---- Fused scalar losses -------------------------------------------------
 
@@ -150,20 +147,15 @@ class Tape {
   Var DecKlLoss(Var z, Var centers, const Matrix* target_q,
                 std::vector<int> rows = {});
 
-  /// Negative log-likelihood of `z` under a diagonal-covariance Gaussian
-  /// mixture with trainable means (K x d), log-variances (K x d) and mixture
-  /// logits (1 x K). Restricted to `rows` when non-empty.
-  Var GmmNllLoss(Var z, Var means, Var logvars, Var pi_logits,
-                 std::vector<int> rows = {});
-
   /// DEC-style KL(Q ‖ R) where R are the posterior responsibilities of `z`
-  /// under the mixture described by (means, logvars, pi_logits) and Q is a
-  /// constant target distribution indexed by original node id. Gradients
-  /// flow ONLY into `z`: the mixture parameters are owned by an external EM
-  /// loop (GMM-VGAE), so their leaves receive no gradient from this op.
-  /// Restricted to `rows` when non-empty.
-  Var GmmKlLoss(Var z, Var means, Var logvars, Var pi_logits,
-                const Matrix* target_q, std::vector<int> rows = {});
+  /// under the constant diagonal-covariance mixture (means K x d,
+  /// log-variances K x d, logits 1 x K) and Q is a constant target
+  /// distribution indexed by original node id. The mixture is owned by an
+  /// external EM loop (GMM-VGAE), so only `z` is differentiated. Restricted
+  /// to `rows` when non-empty.
+  Var GmmKlLoss(Var z, const Matrix* means, const Matrix* logvars,
+                const Matrix* pi_logits, const Matrix* target_q,
+                std::vector<int> rows = {});
 
   /// Mean binary cross-entropy between sigmoid(logits) and constant targets
   /// (same shape). Used by the ARGAE discriminator/generator losses.
@@ -202,27 +194,24 @@ class Tape {
     kMatMul,
     kSpmm,
     kAdd,
-    kSub,
     kHadamard,
     kScale,
     kRelu,
     kExp,
-    kTanh,
     kAddRowBroadcast,
-    kGatherRows,
     kInnerProductBce,
     kGaussianKl,
     kKMeans,
     kDecKl,
-    kGmmNll,
     kGmmKl,
     kBceWithLogits,
     kAddScalars,
+    kNumOps,  // Sentinel: the number of ops above. Never recorded.
   };
 
   struct Node {
     Op op;
-    int a = -1, b = -1, c = -1, d = -1;
+    int a = -1, b = -1;
     Matrix value;
     Matrix grad;
     Parameter* param = nullptr;
@@ -232,10 +221,13 @@ class Tape {
     Matrix aux2;
     const CsrMatrix* sparse = nullptr;
     const Matrix* ext = nullptr;
+    const Matrix* ext2 = nullptr;  // GMM-KL: the mixture means.
     const std::vector<int>* ext_idx = nullptr;
     std::vector<int> indices;
   };
 
+  /// Stable per-op name ("matmul", ...): tape counters and `NodeViews`.
+  static const char* OpName(Op op);
   int Push(Node node);
   /// Throws `TapeError` unless `v` is a live handle onto this tape; `op`
   /// names the caller in the message.

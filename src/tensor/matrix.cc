@@ -126,12 +126,6 @@ Matrix Add(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Sub(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out -= b;
-  return out;
-}
-
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
   Matrix out(a.rows(), a.cols());

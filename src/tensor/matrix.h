@@ -106,8 +106,6 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// Entrywise sum; shapes must match.
 Matrix Add(const Matrix& a, const Matrix& b);
-/// Entrywise difference; shapes must match.
-Matrix Sub(const Matrix& a, const Matrix& b);
 /// Entrywise (Hadamard) product; shapes must match.
 Matrix Hadamard(const Matrix& a, const Matrix& b);
 /// Scalar multiple.

@@ -32,7 +32,6 @@ TEST(TapeShapeTest, ElementwiseShapeMismatch) {
   const Var a = tape.Constant(Filled(3, 4, 1.0));
   const Var b = tape.Constant(Filled(3, 5, 1.0));
   EXPECT_THROW(tape.Add(a, b), TapeError);
-  EXPECT_THROW(tape.Sub(a, b), TapeError);
   EXPECT_THROW(tape.Hadamard(a, b), TapeError);
 }
 
@@ -50,13 +49,6 @@ TEST(TapeShapeTest, AddScalarsRequiresScalars) {
   const Var s = tape.Constant(Filled(1, 1, 1.0));
   const Var m = tape.Constant(Filled(2, 2, 1.0));
   EXPECT_THROW(tape.AddScalars(s, m), TapeError);
-}
-
-TEST(TapeShapeTest, GatherRowsRejectsOutOfRange) {
-  Tape tape;
-  const Var a = tape.Constant(Filled(3, 2, 1.0));
-  EXPECT_THROW(tape.GatherRows(a, {0, 3}), TapeError);
-  EXPECT_THROW(tape.GatherRows(a, {-1}), TapeError);
 }
 
 TEST(TapeShapeTest, GaussianKlShapeMismatch) {
@@ -92,13 +84,31 @@ TEST(TapeShapeTest, KMeansLossValidatesCentersAndAssignments) {
 TEST(TapeShapeTest, GmmMixtureShapeMismatch) {
   Tape tape;
   const Var z = tape.Constant(Filled(5, 3, 0.1));
-  const Var means = tape.Constant(Filled(2, 3, 0.0));
-  const Var logvars_bad = tape.Constant(Filled(2, 2, 0.0));
-  const Var logvars = tape.Constant(Filled(2, 3, 0.0));
-  const Var logits_bad = tape.Constant(Filled(1, 3, 0.0));
-  const Var logits = tape.Constant(Filled(1, 2, 0.0));
-  EXPECT_THROW(tape.GmmNllLoss(z, means, logvars_bad, logits), TapeError);
-  EXPECT_THROW(tape.GmmNllLoss(z, means, logvars, logits_bad), TapeError);
+  const Matrix means(2, 3, 0.0);
+  const Matrix means_bad(2, 2, 0.0);
+  const Matrix logvars_bad(2, 2, 0.0);
+  const Matrix logvars(2, 3, 0.0);
+  const Matrix logits_bad(1, 3, 0.0);
+  const Matrix logits(1, 2, 0.0);
+  const Matrix q_bad(5, 3, 0.5);
+  const Matrix q(5, 2, 0.5);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means_bad, &logvars_bad, &logits, &q),
+               TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars_bad, &logits, &q),
+               TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars, &logits_bad, &q),
+               TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars, &logits, &q_bad),
+               TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars, &logits, &q, {0, 5}),
+               TapeError);
+  // Null external operands are rejected like every other external.
+  EXPECT_THROW(tape.GmmKlLoss(z, nullptr, &logvars, &logits, &q), TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, nullptr, &logits, &q), TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars, nullptr, &q), TapeError);
+  EXPECT_THROW(tape.GmmKlLoss(z, &means, &logvars, &logits, nullptr),
+               TapeError);
+  EXPECT_NO_THROW(tape.GmmKlLoss(z, &means, &logvars, &logits, &q));
 }
 
 // ---------------------------------------------------------------------------
@@ -235,27 +245,23 @@ TEST(LintTapeTest, ParamWithoutGradPathReported) {
   EXPECT_GE(report.Count(Kind::kDeadNode), 1) << report.Format();
 }
 
-TEST(LintTapeTest, GmmMixtureLeavesHaveNoGradPathByDesign) {
-  // GmmKlLoss reads the mixture leaves but never propagates a gradient into
-  // them (EM owns those parameters): value-reachable yet outside the
-  // gradient cone, which is exactly kParamNoGradPath without a dead node.
+TEST(LintTapeTest, GmmMixtureConstantsAreNotOnTape) {
+  // GmmKlLoss reads the EM-owned mixture as external constants, so the
+  // mixture parameters never get a leaf: kParamNotOnTape, with z's leaf
+  // feeding the loss and no dead node.
   Parameter z(Filled(5, 3, 0.2));
   Parameter means(Filled(2, 3, 0.0));
   Parameter logvars(Filled(2, 3, 0.0));
   Parameter logits(Filled(1, 2, 0.0));
-  Matrix q(5, 2);
-  for (int i = 0; i < 5; ++i) {
-    q(i, 0) = 0.5;
-    q(i, 1) = 0.5;
-  }
+  const Matrix q(5, 2, 0.5);
   Tape tape;
-  const Var loss =
-      tape.GmmKlLoss(tape.Leaf(&z), tape.Leaf(&means), tape.Leaf(&logvars),
-                     tape.Leaf(&logits), &q);
+  const Var loss = tape.GmmKlLoss(tape.Leaf(&z), &means.value,
+                                  &logvars.value, &logits.value, &q);
   const TapeLintReport report =
       LintTape(tape, loss, {&z, &means, &logvars, &logits});
   EXPECT_EQ(report.Count(Kind::kDeadNode), 0) << report.Format();
-  EXPECT_EQ(report.Count(Kind::kParamNoGradPath), 3) << report.Format();
+  EXPECT_EQ(report.Count(Kind::kParamNoGradPath), 0) << report.Format();
+  EXPECT_EQ(report.Count(Kind::kParamNotOnTape), 3) << report.Format();
 }
 
 // ---------------------------------------------------------------------------
@@ -339,9 +345,9 @@ TEST(ModelLintTest, GmmVgaeClusteringReportsOnlyEmOwnedMixture) {
   Tape tape;
   const Var loss = model->BuildLossOnTape(&tape, ctx, &rng);
   const TapeLintReport report = LintTape(tape, loss, model->Params());
-  // The three mixture parameters are EM-owned by design (DESIGN.md §2);
-  // everything else must be clean.
-  EXPECT_EQ(report.Count(Kind::kParamNoGradPath), 3) << report.Format();
+  // The three mixture parameters are EM-owned by design (DESIGN.md §2), so
+  // the loss reads them as constants; everything else must be clean.
+  EXPECT_EQ(report.Count(Kind::kParamNotOnTape), 3) << report.Format();
   EXPECT_EQ(static_cast<int>(report.findings.size()), 3) << report.Format();
 }
 
