@@ -150,14 +150,8 @@ class BenchObs {
 
     // The retry ladder is opt-in: with no budget and no retries configured
     // the policy is inert and the loops behave exactly as without it.
-    rgae::TrialPolicy inert;
-    inert.max_retries = 0;
-    inert.allow_degraded = false;
-    policy_ = rgae::TrialPolicyFromEnv(inert);
+    policy_ = rgae::TrialPolicyFromEnv();
     if (deadline_flag > 0.0) policy_.deadline_seconds = deadline_flag;
-    if (policy_.deadline_seconds > 0.0 || policy_.max_retries > 0) {
-      policy_.allow_degraded = true;
-    }
 
     if (!journal_path.empty()) {
       std::string error;
@@ -281,14 +275,11 @@ struct MethodResult {
   rgae::Aggregate rvariant;
 };
 
-/// The effective trial policy: the active session's, or an inert one so
-/// bench helpers used without a `BenchObs` behave exactly as before.
+/// The effective trial policy: the active session's, or the inert default
+/// so bench helpers used without a `BenchObs` behave exactly as before.
 inline rgae::TrialPolicy EffectivePolicy() {
   if (BenchObs* session = BenchObs::active()) return session->policy();
-  rgae::TrialPolicy inert;
-  inert.max_retries = 0;
-  inert.allow_degraded = false;
-  return inert;
+  return {};
 }
 
 inline rgae::RunJournal* ActiveJournal() {

@@ -111,5 +111,15 @@ RGAE_TRIALS=1 RGAE_EPOCH_SCALE=0.02 \
 python3 "${SOURCE_DIR}/scripts/compare_bench.py" "${PROFILE_REPORT}" \
   "${SOURCE_DIR}/bench/baselines/table5_runtime.json" --timing-advisory
 
+step "perfbench output checks (recorded ACCs, served embeddings)"
+# Each run compares every trial's ACC with perfbench/expected_acc.json and
+# the final served embeddings with a full forward pass; run.py exits
+# non-zero when either check fails, so a change that moves training bits
+# fails here. Builds into .bench_build/ on first use.
+for workload in train_scale table_suite serve_mutate; do
+  (cd "${SOURCE_DIR}" && python3 perfbench/run.py --workload "${workload}" \
+    --seed 1 --seconds 10 --trace 0)
+done
+
 echo
 echo "CI pipeline passed."

@@ -59,14 +59,13 @@ TrainerOptions AttemptTrainerOptions(const TrainerOptions& base,
   t.seed = base.seed + static_cast<uint64_t>(attempt) * kSeedPerturbation;
   t.deadline = Deadline::After(policy.deadline_seconds);
   if (degraded) {
-    t.pretrain_epochs =
-        ScaleEpochs(t.pretrain_epochs, policy.degraded_epoch_fraction);
+    t.pretrain_epochs = ScaleEpochs(t.pretrain_epochs, kDegradedEpochFraction);
     t.max_cluster_epochs =
-        ScaleEpochs(t.max_cluster_epochs, policy.degraded_epoch_fraction);
+        ScaleEpochs(t.max_cluster_epochs, kDegradedEpochFraction);
     // The first-group transform start scales with its phase so the R-model
     // protocol keeps the same shape inside the shrunken schedule.
     t.first_group_transform_start = static_cast<int>(
-        t.first_group_transform_start * policy.degraded_epoch_fraction);
+        t.first_group_transform_start * kDegradedEpochFraction);
   }
   return t;
 }
@@ -78,9 +77,8 @@ void StampLadder(TrialOutcome* outcome, int retries, bool degraded) {
 }
 
 // Final rung: the trial is dropped with a structured reason naming every
-// rung it burned through.
-void DropTrial(TrialOutcome* outcome, int attempts, bool degraded_tried,
-               int trial_id) {
+// rung it burned through (an active ladder always ends on the degraded one).
+void DropTrial(TrialOutcome* outcome, int attempts, int trial_id) {
   const std::string cause = outcome->timed_out
                                 ? "deadline exceeded"
                                 : (outcome->failure_reason.empty()
@@ -88,14 +86,13 @@ void DropTrial(TrialOutcome* outcome, int attempts, bool degraded_tried,
                                        : outcome->failure_reason);
   outcome->failed = true;
   outcome->failure_reason =
-      "dropped after " + std::to_string(attempts) + " attempt(s)" +
-      (degraded_tried ? " incl. degraded mode" : "") + ": " + cause;
+      "dropped after " + std::to_string(attempts) +
+      " attempt(s) incl. degraded mode: " + cause;
   RGAE_COUNT("harness.dropped_trials");
   RGAE_LOG(kError)
       .Event("harness.trial_dropped")
       .Field("trial", trial_id)
       .Field("attempts", attempts)
-      .Field("degraded_tried", degraded_tried)
       .Field("timed_out", outcome->timed_out)
       .Msg(outcome->failure_reason);
 }
@@ -236,9 +233,9 @@ TrialOutcome RunSingleWithPolicy(const std::string& model_name,
       StampLadder(&outcome, attempt, /*degraded=*/false);
       return outcome;
     }
-    // An inert ladder (no retries, no degraded rung) passes the outcome
-    // through untouched, so unconfigured benches behave exactly as before.
-    if (policy.max_retries == 0 && !policy.allow_degraded) return outcome;
+    // An inert ladder passes the outcome through untouched, so unconfigured
+    // benches behave exactly as without one.
+    if (!policy.active()) return outcome;
     RGAE_COUNT("harness.retries");
     RGAE_LOG(kWarn)
         .Event("harness.trial_retry")
@@ -248,22 +245,18 @@ TrialOutcome RunSingleWithPolicy(const std::string& model_name,
         .Msg(outcome.failure_reason.empty() ? "attempt failed; retrying"
                                             : outcome.failure_reason);
   }
-  if (policy.allow_degraded) {
-    ModelOptions m = model_options;
-    m.seed += static_cast<uint64_t>(attempt) * kSeedPerturbation;
-    const TrainerOptions t =
-        AttemptTrainerOptions(trainer, policy, attempt, /*degraded=*/true);
-    outcome = RunSingle(model_name, graph, m, t);
-    StampLadder(&outcome, attempt, /*degraded=*/true);
-    if (AttemptOk(outcome) || GlobalStopRequested()) {
-      RGAE_COUNT("harness.degraded_runs");
-      return outcome;
-    }
-    ++attempt;
-  } else {
-    StampLadder(&outcome, attempt - 1, /*degraded=*/false);
+  // Only an active ladder gets here: the degraded rung.
+  ModelOptions m = model_options;
+  m.seed += static_cast<uint64_t>(attempt) * kSeedPerturbation;
+  const TrainerOptions t =
+      AttemptTrainerOptions(trainer, policy, attempt, /*degraded=*/true);
+  outcome = RunSingle(model_name, graph, m, t);
+  StampLadder(&outcome, attempt, /*degraded=*/true);
+  if (AttemptOk(outcome) || GlobalStopRequested()) {
+    RGAE_COUNT("harness.degraded_runs");
+    return outcome;
   }
-  DropTrial(&outcome, attempt, policy.allow_degraded, trainer.trial_id);
+  DropTrial(&outcome, attempt + 1, trainer.trial_id);
   return outcome;
 }
 
@@ -294,7 +287,7 @@ CoupleOutcome RunCoupleWithPolicy(const CoupleConfig& config,
       return outcome;
     }
     // Inert ladder: pass failures through untouched (see RunSingleWithPolicy).
-    if (policy.max_retries == 0 && !policy.allow_degraded) return outcome;
+    if (!policy.active()) return outcome;
     RGAE_COUNT("harness.retries");
     RGAE_LOG(kWarn)
         .Event("harness.couple_retry")
@@ -304,28 +297,21 @@ CoupleOutcome RunCoupleWithPolicy(const CoupleConfig& config,
         .Field("rmodel_ok", AttemptOk(outcome.rmodel))
         .Msg("couple attempt failed; retrying both halves");
   }
-  if (policy.allow_degraded) {
-    outcome = RunCouple(attempt_config(attempt, /*degraded=*/true), graph);
-    StampLadder(&outcome.base, attempt, /*degraded=*/true);
-    StampLadder(&outcome.rmodel, attempt, /*degraded=*/true);
-    if (couple_ok(outcome) || GlobalStopRequested()) {
-      RGAE_COUNT("harness.degraded_runs");
-      return outcome;
-    }
-    ++attempt;
-  } else {
-    StampLadder(&outcome.base, attempt - 1, /*degraded=*/false);
-    StampLadder(&outcome.rmodel, attempt - 1, /*degraded=*/false);
+  // Only an active ladder gets here: the degraded rung.
+  outcome = RunCouple(attempt_config(attempt, /*degraded=*/true), graph);
+  StampLadder(&outcome.base, attempt, /*degraded=*/true);
+  StampLadder(&outcome.rmodel, attempt, /*degraded=*/true);
+  if (couple_ok(outcome) || GlobalStopRequested()) {
+    RGAE_COUNT("harness.degraded_runs");
+    return outcome;
   }
   // Only the halves that are actually unusable get dropped; a healthy half
   // of a partially-failed couple still feeds its table column.
   if (!AttemptOk(outcome.base)) {
-    DropTrial(&outcome.base, attempt, policy.allow_degraded,
-              config.base.trial_id);
+    DropTrial(&outcome.base, attempt + 1, config.base.trial_id);
   }
   if (!AttemptOk(outcome.rmodel)) {
-    DropTrial(&outcome.rmodel, attempt, policy.allow_degraded,
-              config.rvariant.trial_id);
+    DropTrial(&outcome.rmodel, attempt + 1, config.rvariant.trial_id);
   }
   return outcome;
 }

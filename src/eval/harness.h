@@ -76,31 +76,35 @@ TrialOutcome RunSingle(const std::string& model_name,
                        const TrainerOptions& trainer);
 
 /// Failure-handling policy of the multi-trial harness — the layer above
-/// `ResilienceOptions` (which recovers *within* a run). A trial whose run
-/// comes back `failed` or `timed_out` climbs a bounded ladder:
+/// `ResilienceOptions` (which recovers *within* a run). The ladder is
+/// `active()` once a deadline or retries are configured; then a trial whose
+/// run comes back `failed` or `timed_out` climbs it:
 ///
 ///   1. up to `max_retries` full re-runs, each under a fresh deadline and a
 ///      deterministically perturbed seed (attempt `a` trains with
 ///      `seed + a * kSeedPerturbation`, so retries are reproducible yet
 ///      escape seed-specific numerical accidents);
 ///   2. one "degraded" re-run with epoch counts scaled by
-///      `degraded_epoch_fraction` (when `allow_degraded`), cheap enough to
-///      fit a budget the full schedule kept blowing;
+///      `kDegradedEpochFraction`, cheap enough to fit a budget the full
+///      schedule kept blowing;
 ///   3. otherwise the trial is dropped with a structured reason
 ///      (`TrialOutcome::failed` + `failure_reason`).
 ///
-/// Every rung is counted: `TrialOutcome::{retries, degraded, timed_out}`
-/// feed the `Aggregate` counters and the bench run report.
+/// The default policy is inert: a failed or timed-out attempt passes
+/// through untouched. Every rung is counted: `TrialOutcome::{retries,
+/// degraded, timed_out}` feed the `Aggregate` counters and the bench run
+/// report.
 struct TrialPolicy {
   /// Per-attempt wall-clock budget in seconds; <= 0 means unlimited.
   double deadline_seconds = 0.0;
   /// Full-length re-runs of a failed/timed-out trial.
-  int max_retries = 2;
-  /// Escalate to one reduced-epoch attempt after the retries run out.
-  bool allow_degraded = true;
-  /// Epoch-count multiplier of the degraded attempt.
-  double degraded_epoch_fraction = 0.25;
+  int max_retries = 0;
+
+  bool active() const { return deadline_seconds > 0.0 || max_retries > 0; }
 };
+
+/// Epoch-count multiplier of the degraded attempt.
+inline constexpr double kDegradedEpochFraction = 0.25;
 
 /// Seed offset between retry attempts (a large odd constant, so perturbed
 /// seeds never collide with the harness's own trial-seed schedule).

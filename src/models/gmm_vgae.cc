@@ -54,10 +54,10 @@ GmmModel GmmVgae::CurrentMixture() const {
 
 namespace {
 
-// Variance floor for the clustering mixture. The encoder minimizes the
-// mixture NLL, which it can drive to -inf by collapsing points onto the
-// component means while EM shrinks the variances; a generous floor keeps
-// the density (and thus the NLL gradient) bounded.
+// Variance floor for the clustering mixture. The encoder pulls points onto
+// the component means while EM shrinks the variances around them; a
+// generous floor keeps the densities (and the 1/variance factor of the KL
+// gradient) bounded.
 GmmOptions ClusteringMixtureOptions() {
   GmmOptions o;
   o.min_variance = 1e-2;

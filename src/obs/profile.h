@@ -47,8 +47,9 @@ struct ProfileNode {
 /// grows its own subtree under the roots it opens. Node storage is
 /// append-only and `Reset()` retires (never frees) the old tree, so node
 /// pointers held by in-flight `ScopedTimer`s stay valid for the process
-/// lifetime and the hot path never takes the structure mutex after a
-/// (parent, name) pair has been interned.
+/// lifetime. Every `BeginScope` looks its (parent, name) node up in
+/// `Intern`, which takes the structure mutex on each call, interned or not;
+/// a lock-free per-thread node cache is ROADMAP item 2.
 class Profiler {
  public:
   struct Node;  // Opaque to callers; stable address for the process life.

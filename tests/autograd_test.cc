@@ -398,7 +398,7 @@ TEST(TapeTest, GmmKlIsZeroWhenTargetMatchesResponsibilities) {
   // If Q equals the responsibilities exactly, KL(Q||R) = 0.
   Rng rng(14);
   Parameter z(RandomMatrix(4, 2, rng));
-  Parameter means(RandomMatrix(2, 2, rng));
+  const Matrix means = RandomMatrix(2, 2, rng);
   const Matrix logvars(2, 2, 0.0);
   const Matrix logits(1, 2, 0.0);
   Matrix q;
@@ -406,7 +406,7 @@ TEST(TapeTest, GmmKlIsZeroWhenTargetMatchesResponsibilities) {
     Tape tape;
     // First pass with a uniform target just to extract responsibilities.
     Matrix uniform(4, 2, 0.5);
-    const Var loss = tape.GmmKlLoss(tape.Leaf(&z), &means.value, &logvars,
+    const Var loss = tape.GmmKlLoss(tape.Leaf(&z), &means, &logvars,
                                     &logits, &uniform);
     (void)loss;
     // Recompute responsibilities directly for the target.
@@ -416,7 +416,7 @@ TEST(TapeTest, GmmKlIsZeroWhenTargetMatchesResponsibilities) {
       for (int j = 0; j < 2; ++j) {
         double d2 = 0.0;
         for (int c = 0; c < 2; ++c) {
-          const double diff = z.value(i, c) - means.value(j, c);
+          const double diff = z.value(i, c) - means(j, c);
           d2 += diff * diff;
         }
         s[j] = -0.5 * d2;
@@ -429,7 +429,7 @@ TEST(TapeTest, GmmKlIsZeroWhenTargetMatchesResponsibilities) {
   }
   Tape tape;
   const Var loss =
-      tape.GmmKlLoss(tape.Leaf(&z), &means.value, &logvars, &logits, &q);
+      tape.GmmKlLoss(tape.Leaf(&z), &means, &logvars, &logits, &q);
   EXPECT_NEAR(tape.value(loss)(0, 0), 0.0, 1e-9);
 }
 

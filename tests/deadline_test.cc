@@ -191,8 +191,7 @@ TEST(TrialLadderTest, DegradedRungRescuesChronicallySlowTrial) {
   TrialPolicy policy;
   policy.deadline_seconds = 0.15;
   policy.max_retries = 1;
-  policy.allow_degraded = true;
-  policy.degraded_epoch_fraction = 0.25;
+  ASSERT_EQ(kDegradedEpochFraction, 0.25);
   const TrialOutcome out =
       RunSingleWithPolicy("GAE", g, TinyModelOptions(), opts, policy);
   EXPECT_FALSE(out.failed) << out.failure_reason;
@@ -218,7 +217,6 @@ TEST(TrialLadderTest, ExhaustedLadderDropsWithStructuredReason) {
 
   TrialPolicy policy;
   policy.max_retries = 1;
-  policy.allow_degraded = true;
   const TrialOutcome out =
       RunSingleWithPolicy("GAE", g, TinyModelOptions(), opts, policy);
   EXPECT_TRUE(out.failed);
@@ -245,9 +243,8 @@ TEST(TrialLadderTest, InertPolicyPassesFailureThroughUntouched) {
   opts.resilience.max_rollbacks = 0;
   opts.fault_injector = &injector;
 
-  TrialPolicy inert;
-  inert.max_retries = 0;
-  inert.allow_degraded = false;
+  const TrialPolicy inert;
+  ASSERT_FALSE(inert.active());
   const TrialOutcome out =
       RunSingleWithPolicy("GAE", g, TinyModelOptions(), opts, inert);
   EXPECT_TRUE(out.failed);
