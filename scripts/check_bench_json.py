@@ -9,7 +9,6 @@ Usage:
     check_bench_json.py --run-journal <bench_binary> [bench args ...]
     check_bench_json.py --run-serve <bench_serve_binary> [bench args ...]
     check_bench_json.py --run-loadtest <bench_loadtest_binary> [args ...]
-    check_bench_json.py --run-nettest <bench_nettest_binary> [args ...]
     check_bench_json.py --run-profile <bench_micro_ops_binary> [args ...]
 
 In `--run` mode the bench binary is invoked with `--json=<tempfile>` (plus
@@ -25,15 +24,7 @@ disposition arithmetic (offered == admitted + degraded + shed — the
 zero-lost-requests invariant), SLO violations monotone across the ascending
 offered-QPS levels, the admitted-request p99 within its declared bound, and
 the hot-swap drill outcome (a completed swap, the corrupted candidate
-rejected, no in-flight failures). `--run-nettest` runs bench_nettest (the
-TCP front-end chaos rig) and validates its "nettest" section: per-tenant
-disposition arithmetic on both the client and the engine side (zero lost
-requests), ordered latency percentiles, the tenant-isolation contract (the
-victim's p99 within its declared bound and its engine unshed while the
-attacker tenant floods into its own admission policy), and the
-misbehaving-client contract (every malformed frame rejected, every slow and
-idle connection reaped within its budget, zero hangs). `--run-profile` runs
-bench_micro_ops and
+rejected, no in-flight failures). `--run-profile` runs bench_micro_ops and
 validates the profiler contract: a non-empty `profile` calling-context tree,
 per-kernel FLOP totals matching the closed-form `profile_expect` numbers the
 bench emits from its calibrated fixed-workload pass EXACTLY (cost-model
@@ -104,35 +95,6 @@ LATENCY_REQUIRED = ["count", "mean", "min", "max", "p50", "p95", "p99"]
 
 SERVE_CACHE_REQUIRED = [
     "hits", "misses", "evictions", "invalidations", "stale_evictions",
-]
-
-NETTEST_REQUIRED = [
-    "num_tenants", "workers", "seconds", "deadline_ms", "chaos",
-    "interrupted", "isolation_bound_us", "lost_requests", "tenants",
-    "server", "faults", "abuse",
-]
-
-NETTEST_TENANT_REQUIRED = [
-    "name", "role", "clients", "target_qps", "seconds", "achieved_qps",
-    "queries", "answered", "ok", "degraded", "shed", "server_errors",
-    "transport_errors", "retries", "reconnects", "latency_us", "engine",
-]
-
-NETTEST_SERVER_REQUIRED = [
-    "accepted", "rejected_conns", "closed_conns", "frames", "queries",
-    "pings", "replies_sent", "errors_sent", "bad_magic", "bad_length",
-    "bad_crc", "bad_type", "bad_payload", "unknown_tenant", "bad_node",
-    "shed_slow_client", "idle_closes", "drained_rejects", "protocol_errors",
-]
-
-NETTEST_ABUSE_REQUIRED = [
-    "malformed_sent", "malformed_rejected", "malformed_hangs",
-    "slow_conns", "slow_reaped", "slow_hangs",
-    "idle_conns", "idle_reaped", "idle_hangs",
-]
-
-NETTEST_FAULTS_REQUIRED = [
-    "torn_writes", "conn_resets", "accept_stalls", "byte_stalls",
 ]
 
 LOADTEST_REQUIRED = [
@@ -722,214 +684,6 @@ class Checker:
                     "monotone in offered load")
             prev = level
 
-    def check_nettest_tenant(self, tenant, where):
-        if not self.expect(isinstance(tenant, dict), where, "not an object"):
-            return
-        for key in NETTEST_TENANT_REQUIRED:
-            self.expect(key in tenant, f"{where}.{key}", "missing")
-        self.expect(tenant.get("role") in ("victim", "attacker"),
-                    f"{where}.role",
-                    f"must be 'victim' or 'attacker', got "
-                    f"{tenant.get('role')!r}")
-        counts = ["queries", "answered", "ok", "degraded", "shed",
-                  "server_errors", "transport_errors", "retries",
-                  "reconnects"]
-        for key in counts:
-            v = tenant.get(key)
-            self.expect(self.is_num(v) and v >= 0 and v == int(v),
-                        f"{where}.{key}", "must be a non-negative integer")
-        if not all(self.is_num(tenant.get(k)) for k in counts):
-            return
-        # Zero lost requests, client side: every query this tenant's
-        # clients issued came back as exactly one terminal outcome.
-        self.expect(
-            tenant["queries"] == tenant["answered"] +
-            tenant["server_errors"] + tenant["transport_errors"],
-            where,
-            "queries {queries} != answered {answered} + server_errors "
-            "{server_errors} + transport_errors {transport_errors} — "
-            "lost requests".format(**tenant))
-        self.expect(
-            tenant["answered"] ==
-            tenant["ok"] + tenant["degraded"] + tenant["shed"],
-            where,
-            "answered {answered} != ok {ok} + degraded {degraded} + "
-            "shed {shed}".format(**tenant))
-        self.check_latency_summary(tenant.get("latency_us"),
-                                   f"{where}.latency_us",
-                                   tenant["answered"])
-        engine = tenant.get("engine")
-        if not self.expect(isinstance(engine, dict), f"{where}.engine",
-                           "not an object"):
-            return
-        ekeys = ["offered", "admitted", "degraded", "shed", "settled"]
-        for key in ekeys:
-            v = engine.get(key)
-            self.expect(self.is_num(v) and v >= 0, f"{where}.engine.{key}",
-                        "must be a non-negative number")
-        if all(self.is_num(engine.get(k)) for k in ekeys):
-            # Zero lost requests, engine side: sampled after the server
-            # drained, so every offer has settled into one disposition.
-            self.expect(
-                engine["offered"] == engine["settled"] ==
-                engine["admitted"] + engine["degraded"] + engine["shed"],
-                f"{where}.engine",
-                "offered {offered} != settled {settled} (admitted "
-                "{admitted} + degraded {degraded} + shed {shed})".format(
-                    **engine))
-
-    def check_nettest(self, nettest):
-        """The "nettest" section bench_nettest adds to its document."""
-        where = "$.nettest"
-        if not self.expect(isinstance(nettest, dict), where,
-                           "missing or not an object"):
-            return
-        for key in NETTEST_REQUIRED:
-            self.expect(key in nettest, f"{where}.{key}", "missing")
-        for key in ("num_tenants", "workers", "seconds", "deadline_ms",
-                    "isolation_bound_us"):
-            self.expect(self.is_num(nettest.get(key))
-                        and nettest.get(key) > 0,
-                        f"{where}.{key}", "must be a positive number")
-        for key in ("chaos", "interrupted"):
-            self.expect(isinstance(nettest.get(key), bool),
-                        f"{where}.{key}", "must be a bool")
-        self.expect(nettest.get("lost_requests") == 0,
-                    f"{where}.lost_requests",
-                    f"must be exactly 0, got {nettest.get('lost_requests')}")
-        interrupted = nettest.get("interrupted") is True
-        chaos = nettest.get("chaos") is True
-
-        tenants = nettest.get("tenants")
-        if not self.expect(isinstance(tenants, list) and len(tenants) >= 2,
-                           f"{where}.tenants",
-                           "must be an array of at least two tenants"):
-            return
-        by_role = {}
-        for i, tenant in enumerate(tenants):
-            self.check_nettest_tenant(tenant, f"{where}.tenants[{i}]")
-            if isinstance(tenant, dict):
-                by_role.setdefault(tenant.get("role"), tenant)
-        victim = by_role.get("victim")
-        attacker = by_role.get("attacker")
-        if not self.expect(victim is not None and attacker is not None,
-                           f"{where}.tenants",
-                           "must contain a victim and an attacker tenant"):
-            return
-        bound = nettest.get("isolation_bound_us")
-        if not interrupted:
-            # The isolation contract: the attacker's flood is shed by its
-            # own admission policy while the victim keeps answering with a
-            # bounded p99 and an unshed engine.
-            self.expect(self.is_num(victim.get("answered"))
-                        and victim["answered"] > 0,
-                        f"{where}.tenants", "victim answered nothing")
-            lat = victim.get("latency_us")
-            if isinstance(lat, dict) and self.is_num(lat.get("p99")) \
-                    and self.is_num(bound):
-                self.expect(lat["p99"] <= bound,
-                            f"{where}.tenants victim latency_us.p99",
-                            f"{lat['p99']} exceeds the isolation bound "
-                            f"{bound} — the attacker's flood leaked into "
-                            "the victim's latency")
-            vic_engine = victim.get("engine")
-            if isinstance(vic_engine, dict) \
-                    and self.is_num(vic_engine.get("shed")):
-                self.expect(vic_engine["shed"] == 0,
-                            f"{where}.tenants victim engine.shed",
-                            f"{vic_engine['shed']} — the victim must not "
-                            "shed while only the attacker floods")
-            atk_engine = attacker.get("engine")
-            if isinstance(atk_engine, dict) \
-                    and self.is_num(atk_engine.get("shed")):
-                self.expect(atk_engine["shed"] > 0,
-                            f"{where}.tenants attacker engine.shed",
-                            "the attacker's flood was never shed — "
-                            "admission control did not engage")
-
-        server = nettest.get("server")
-        if self.expect(isinstance(server, dict), f"{where}.server",
-                       "not an object"):
-            for key in NETTEST_SERVER_REQUIRED:
-                v = server.get(key)
-                self.expect(self.is_num(v) and v >= 0,
-                            f"{where}.server.{key}",
-                            "must be a non-negative number")
-            if all(self.is_num(server.get(k))
-                   for k in ("protocol_errors", "bad_magic", "bad_length",
-                             "bad_crc", "bad_type", "bad_payload")):
-                self.expect(
-                    server["protocol_errors"] ==
-                    server["bad_magic"] + server["bad_length"] +
-                    server["bad_crc"] + server["bad_type"] +
-                    server["bad_payload"],
-                    f"{where}.server.protocol_errors",
-                    "does not equal the sum of its buckets")
-
-        faults = nettest.get("faults")
-        if self.expect(isinstance(faults, dict), f"{where}.faults",
-                       "not an object"):
-            for key in NETTEST_FAULTS_REQUIRED:
-                v = faults.get(key)
-                self.expect(self.is_num(v) and v >= 0,
-                            f"{where}.faults.{key}",
-                            "must be a non-negative number")
-            if chaos and not interrupted:
-                fired = sum(faults.get(k, 0) for k in NETTEST_FAULTS_REQUIRED
-                            if self.is_num(faults.get(k)))
-                self.expect(fired > 0, f"{where}.faults",
-                            "chaos run fired no socket faults")
-
-        abuse = nettest.get("abuse")
-        if not self.expect(isinstance(abuse, dict), f"{where}.abuse",
-                           "not an object"):
-            return
-        for key in NETTEST_ABUSE_REQUIRED:
-            v = abuse.get(key)
-            self.expect(self.is_num(v) and v >= 0, f"{where}.abuse.{key}",
-                        "must be a non-negative number")
-        if not all(self.is_num(abuse.get(k)) for k in NETTEST_ABUSE_REQUIRED):
-            return
-        # The server must never hang on a hostile peer: every probe got
-        # rejection/reap evidence within its budget.
-        for key in ("malformed_hangs", "slow_hangs", "idle_hangs"):
-            self.expect(abuse[key] == 0, f"{where}.abuse.{key}",
-                        f"must be exactly 0, got {abuse[key]}")
-        self.expect(abuse["malformed_rejected"] == abuse["malformed_sent"],
-                    f"{where}.abuse",
-                    "malformed_rejected {malformed_rejected} != "
-                    "malformed_sent {malformed_sent}".format(**abuse))
-        self.expect(abuse["slow_reaped"] == abuse["slow_conns"],
-                    f"{where}.abuse",
-                    "slow_reaped {slow_reaped} != slow_conns "
-                    "{slow_conns}".format(**abuse))
-        self.expect(abuse["idle_reaped"] == abuse["idle_conns"],
-                    f"{where}.abuse",
-                    "idle_reaped {idle_reaped} != idle_conns "
-                    "{idle_conns}".format(**abuse))
-        if not interrupted:
-            self.expect(abuse["malformed_sent"] >= 1, f"{where}.abuse",
-                        "no malformed probe completed")
-            if isinstance(server, dict) \
-                    and self.is_num(server.get("bad_crc")):
-                self.expect(server["bad_crc"] >= abuse["malformed_rejected"],
-                            f"{where}.server.bad_crc",
-                            f"{server['bad_crc']} below the "
-                            f"{abuse['malformed_rejected']} corrupted "
-                            "frames the abuse client delivered")
-            if isinstance(server, dict) \
-                    and self.is_num(server.get("shed_slow_client")):
-                self.expect(
-                    server["shed_slow_client"] >= abuse["slow_reaped"],
-                    f"{where}.server.shed_slow_client",
-                    "below the slow probes the abuse client confirmed")
-            if isinstance(server, dict) \
-                    and self.is_num(server.get("idle_closes")):
-                self.expect(server["idle_closes"] >= abuse["idle_reaped"],
-                            f"{where}.server.idle_closes",
-                            "below the idle probes the abuse client "
-                            "confirmed")
-
     def check_document(self, doc):
         if not self.expect(isinstance(doc, dict), "$", "top level not an object"):
             return
@@ -974,8 +728,6 @@ def check_file(path, section=None):
             checker.check_serve(doc.get("serve"))
         elif section == "loadtest":
             checker.check_loadtest(doc.get("loadtest"))
-        elif section == "nettest":
-            checker.check_nettest(doc.get("nettest"))
         elif section == "profile":
             checker.check_profile(doc)
     return checker.errors
@@ -1094,8 +846,6 @@ def main(argv):
         return run_mode(argv[1:], section="serve")
     if argv[0] == "--run-loadtest":
         return run_mode(argv[1:], section="loadtest")
-    if argv[0] == "--run-nettest":
-        return run_mode(argv[1:], section="nettest")
     if argv[0] == "--run-profile":
         return run_mode(argv[1:], section="profile")
     if argv[0] == "--run-journal":

@@ -33,11 +33,22 @@ step "ctest -L lint (registered lint cases)"
 (cd "${BUILD_DIR}" && ctest --output-on-failure -L lint)
 
 step "ctest -L concurrency under lockcheck (RGAE_LOCKCHECK=abort)"
-# The serve/net suites re-run with the runtime lock-order checker armed in
-# fatal mode: any inversion or re-entrant acquisition aborts the test binary.
+# The serve and lockcheck suites re-run with the runtime lock-order checker
+# armed in fatal mode: any inversion or re-entrant acquisition aborts the
+# test binary.
 # Seeded-violation tests disarm fatality themselves via SetLockCheckFatal.
 (cd "${BUILD_DIR}" && RGAE_LOCKCHECK=abort \
   ctest --output-on-failure -L concurrency -j "${JOBS}")
+
+step "asserts-on build and ctest (Debug, -O1)"
+# Every other configuration defines NDEBUG (Release pins -O2 -DNDEBUG and
+# the sanitizer preset is RelWithDebInfo), so this is the one place the
+# code's assert() preconditions run. -O1 keeps the suite's training-heavy
+# cases affordable.
+cmake -S "${SOURCE_DIR}" -B "${BUILD_DIR}-assert" \
+  -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG="-O1 -g"
+cmake --build "${BUILD_DIR}-assert" -j "${JOBS}"
+(cd "${BUILD_DIR}-assert" && ctest --output-on-failure -LE lint -j "${JOBS}")
 
 step "thread-safety analysis build (clang -Wthread-safety)"
 if command -v clang++ >/dev/null 2>&1; then
@@ -79,12 +90,6 @@ RGAE_LOADTEST_SECONDS=0.5 RGAE_LOADTEST_QPS=400,1600,6400 \
 RGAE_LOADTEST_QUEUE=48 RGAE_LOADTEST_DEADLINE_MS=8 RGAE_LOADTEST_SLO_MS=4 \
 python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \
   --run-loadtest "${BUILD_DIR}/bench/bench_loadtest"
-
-step "nettest JSON schema check (socket chaos drill)"
-RGAE_NETTEST_SECONDS=1.0 RGAE_NETTEST_NODES=200 \
-RGAE_NETTEST_IO_MS=200 RGAE_NETTEST_IDLE_MS=400 \
-python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \
-  --run-nettest "${BUILD_DIR}/bench/bench_nettest"
 
 step "profile schema check (calling-context tree + FLOP exactness)"
 python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \

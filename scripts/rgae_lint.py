@@ -50,13 +50,14 @@ Enforces invariants that generic tools do not know about:
   R9 socket bounds -- in src/, a blocking socket syscall (recv, send,
                       accept, connect) must show its bound: a
                       deadline/timeout/poll mention on the line, within the
-                      three lines above, or on the line below (the
-                      serve/net socket layer routes every call through a
-                      deadline-bounded PollWait). A deliberately unbounded
-                      call opts out with an `// Unbounded I/O: <why>`
-                      comment in the same window. Unbounded network I/O is
-                      how one dead peer pins a worker forever
-                      (DESIGN.md §8.7).
+                      three lines above, or on the line below (e.g. a
+                      poll(2) with a Deadline budget before the call). A
+                      deliberately unbounded call opts out with an
+                      `// Unbounded I/O: <why>` comment in the same window.
+                      Unbounded network I/O is how one dead peer pins a
+                      worker forever (DESIGN.md §7, R9). No code in src/
+                      makes these calls today; the self-test fixtures keep
+                      the rule working for the next socket code.
   R10 raw sync     -- in src/ outside util/sync.h, the std synchronization
                       types (std::mutex and friends, std::lock_guard,
                       std::unique_lock, std::scoped_lock,
@@ -358,7 +359,7 @@ def lint_socket_bounds(rel, raw_lines, code_lines, findings):
         findings.append(
             f"{rel}:{i + 1}: [R9] blocking socket syscall without a visible "
             "timeout/deadline; bound it (poll with a Deadline budget) or "
-            "justify with `// Unbounded I/O: <why>` (DESIGN.md §8.7)"
+            "justify with `// Unbounded I/O: <why>` (DESIGN.md §7, R9)"
         )
 
 
@@ -659,6 +660,31 @@ SELF_TEST_FIXTURES = [
         "}  // namespace rgae\n",
         [],
         ["R12"],
+    ),
+    (
+        "src/fix/socket_unbounded.cc",
+        '#include "src/fix/socket_unbounded.h"\n'
+        "#include <sys/socket.h>\n"
+        "namespace rgae {\n"
+        "long ReadSome(int fd, char* buf, unsigned long n) {\n"
+        "  return recv(fd, buf, n, 0);\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        ["R9"],
+        [],
+    ),
+    (
+        "src/fix/socket_optout.cc",
+        '#include "src/fix/socket_optout.h"\n'
+        "#include <sys/socket.h>\n"
+        "namespace rgae {\n"
+        "long ReadSome(int fd, char* buf, unsigned long n) {\n"
+        "  // Unbounded I/O: fixture justifies a blocking read.\n"
+        "  return recv(fd, buf, n, 0);\n"
+        "}\n"
+        "}  // namespace rgae\n",
+        [],
+        ["R9"],
     ),
 ]
 

@@ -86,14 +86,6 @@ const char* ServeFaultTypeName(ServeFault::Type type) {
       return "queue-burst";
     case ServeFault::Type::kSnapshotCorruptOnSwap:
       return "snapshot-corrupt-on-swap";
-    case ServeFault::Type::kTornWrite:
-      return "torn-write";
-    case ServeFault::Type::kConnReset:
-      return "conn-reset";
-    case ServeFault::Type::kAcceptStall:
-      return "accept-stall";
-    case ServeFault::Type::kByteStall:
-      return "byte-stall";
   }
   return "unknown";
 }
@@ -146,40 +138,6 @@ bool ServeFaultInjector::OnSwap() {
            &unused) > 0;
   if (corrupt) ++counts_.corrupted_swaps;
   return corrupt;
-}
-
-double ServeFaultInjector::OnAccept() {
-  MutexLock lock(mu_);
-  ++accepts_;
-  double stall_ms = 0.0;
-  if (Fire(ServeFault::Type::kAcceptStall, accepts_, "accept", &stall_ms) >
-      0) {
-    ++counts_.accept_stalls;
-  }
-  return stall_ms;
-}
-
-NetWriteFault ServeFaultInjector::OnNetWrite() {
-  MutexLock lock(mu_);
-  ++net_writes_;
-  NetWriteFault fault;
-  double unused = 0.0;
-  if (Fire(ServeFault::Type::kConnReset, net_writes_, "net-write", &unused) >
-      0) {
-    fault.reset = true;
-    ++counts_.conn_resets;
-    return fault;  // A reset preempts the write; nothing else can fire.
-  }
-  if (Fire(ServeFault::Type::kTornWrite, net_writes_, "net-write", &unused) >
-      0) {
-    fault.torn = true;
-    ++counts_.torn_writes;
-  }
-  if (Fire(ServeFault::Type::kByteStall, net_writes_, "net-write",
-           &fault.stall_ms) > 0) {
-    ++counts_.byte_stalls;
-  }
-  return fault;
 }
 
 ServeFaultCounts ServeFaultInjector::counts() const {

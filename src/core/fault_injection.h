@@ -102,23 +102,6 @@ struct ServeFault {
     /// overwrites one weight) so validation must reject the swap and the
     /// serving engine must keep answering from the old snapshot.
     kSnapshotCorruptOnSwap,
-    /// Truncate one response write after a prefix and close the connection
-    /// — the footprint of a peer crashing mid-write or a NAT dropping the
-    /// flow. The client must detect the short frame and recover by
-    /// reconnecting (idempotent queries retry).
-    kTornWrite,
-    /// Close the connection instead of writing the response — the footprint
-    /// of an RST from a dying peer or a middlebox.
-    kConnReset,
-    /// Stall the acceptor for `magnitude` milliseconds before handing a
-    /// connection to the worker pool — the footprint of a SYN-flooded or
-    /// CPU-starved edge. Drives accept-queue growth and connect timeouts.
-    kAcceptStall,
-    /// Stall `magnitude` milliseconds mid-write, between the two halves of
-    /// a response frame — the footprint of a congested uplink trickling
-    /// bytes. Exercises the client's read deadline on a half-delivered
-    /// frame.
-    kByteStall,
   };
 
   Type type = Type::kWorkerStall;
@@ -142,21 +125,6 @@ struct ServeFaultCounts {
   int64_t stalls = 0;
   int64_t burst_requests = 0;
   int64_t corrupted_swaps = 0;
-  int64_t torn_writes = 0;
-  int64_t conn_resets = 0;
-  int64_t accept_stalls = 0;
-  int64_t byte_stalls = 0;
-};
-
-/// Socket-fault decision for one response-frame write (`OnNetWrite`).
-/// Fields compose: a stall fires before a torn write would truncate.
-struct NetWriteFault {
-  /// Write only a prefix of the frame, then close the connection.
-  bool torn = false;
-  /// Close the connection without writing anything.
-  bool reset = false;
-  /// Milliseconds to stall between the two halves of the write.
-  double stall_ms = 0.0;
 };
 
 /// Thread-safe, deterministic injector of serve-side faults. Attach one via
@@ -176,13 +144,6 @@ class ServeFaultInjector {
   /// Called once per swap attempt; true means the candidate snapshot must
   /// be corrupted before validation.
   bool OnSwap();
-  /// Called once per accepted connection; returns the stall in milliseconds
-  /// the acceptor must sleep before queueing it (0 when no stall fires).
-  double OnAccept();
-  /// Called once per response-frame write; returns the socket fault to
-  /// apply to it (all-defaults when nothing fires).
-  NetWriteFault OnNetWrite();
-
   ServeFaultCounts counts() const;
   /// Log lines describing each fired fault, for bench output.
   std::vector<std::string> log() const;
@@ -203,8 +164,6 @@ class ServeFaultInjector {
   int64_t batches_ RGAE_GUARDED_BY(mu_) = 0;
   int64_t offers_ RGAE_GUARDED_BY(mu_) = 0;
   int64_t swaps_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t accepts_ RGAE_GUARDED_BY(mu_) = 0;
-  int64_t net_writes_ RGAE_GUARDED_BY(mu_) = 0;
   ServeFaultCounts counts_ RGAE_GUARDED_BY(mu_);
   std::vector<std::string> log_ RGAE_GUARDED_BY(mu_);
 };

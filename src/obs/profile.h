@@ -97,25 +97,17 @@ class Profiler {
 };
 
 /// Reports the nominal arithmetic (`flops`) and memory traffic (`bytes`)
-/// of one kernel invocation: feeds the `<name>.flops` / `<name>.bytes`
-/// counters and the profiler's innermost open scope. The cost models are
-/// closed-form per kernel (DESIGN.md §6.6) so tests can assert exact
-/// counts; `flops`/`bytes` are evaluated only when observability is on.
-#define RGAE_KERNEL_WORK(name, flops, bytes)                               \
-  do {                                                                     \
-    if (::rgae::obs::Enabled()) {                                          \
-      static ::rgae::obs::Counter* const rgae_work_flops_ =                \
-          ::rgae::obs::MetricsRegistry::Global().GetCounter(               \
-              ::std::string(name) + ".flops");                             \
-      static ::rgae::obs::Counter* const rgae_work_bytes_ =                \
-          ::rgae::obs::MetricsRegistry::Global().GetCounter(               \
-              ::std::string(name) + ".bytes");                             \
-      const ::std::int64_t rgae_work_f_ = (flops);                         \
-      const ::std::int64_t rgae_work_b_ = (bytes);                         \
-      rgae_work_flops_->Inc(rgae_work_f_);                                 \
-      rgae_work_bytes_->Inc(rgae_work_b_);                                 \
-      ::rgae::obs::Profiler::Global().AddWork(rgae_work_f_, rgae_work_b_); \
-    }                                                                      \
+/// of one kernel invocation to the profiler's innermost open scope, the
+/// enclosing `RGAE_TIMED_KERNEL(name)` node; `name` labels the kernel at the
+/// call site, attribution follows the open scope. The profile tree is the
+/// only sink. The cost models are closed-form per kernel (DESIGN.md §6.6)
+/// so tests can assert exact counts; `flops`/`bytes` are evaluated only
+/// when a scope would be recorded (`Enabled() && ProfileEnabled()`).
+#define RGAE_KERNEL_WORK(name, flops, bytes)                              \
+  do {                                                                    \
+    if (::rgae::obs::Enabled() && ::rgae::obs::ProfileEnabled()) {        \
+      ::rgae::obs::Profiler::Global().AddWork((flops), (bytes));          \
+    }                                                                     \
   } while (0)
 
 }  // namespace obs

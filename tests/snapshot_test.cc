@@ -1,7 +1,9 @@
 #include "src/serve/snapshot.h"
 
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include "src/graph/generators.h"
 #include "src/models/model_factory.h"
 #include "src/serve/forward.h"
+#include "src/util/binio.h"
 
 namespace rgae {
 namespace {
@@ -283,6 +286,84 @@ TEST(SnapshotTest, ValidateRejectsBadHeads) {
   bad_variance.variances(0, 0) = 0.0;
   EXPECT_FALSE(serve::ValidateSnapshot(bad_variance, &error));
   EXPECT_NE(error.find("variance"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// BinaryReader bounds-check edge cases: the snapshot and checkpoint decoders'
+// substrate must be as total as the decoders.
+
+TEST(BinaryReaderBoundsTest, EmptyBufferFailsEveryRead) {
+  BinaryReader r("", 0);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string s;
+  EXPECT_FALSE(r.U32(&u32));
+  EXPECT_FALSE(r.U64(&u64));
+  EXPECT_FALSE(r.I64(&i64));
+  EXPECT_FALSE(r.F64(&f64));
+  EXPECT_FALSE(r.Str(&s));
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BinaryReaderBoundsTest, ReadsStopExactlyAtTheEnd) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.U32(7);
+  BinaryReader r(buf);
+  uint32_t v = 0;
+  EXPECT_TRUE(r.U32(&v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_FALSE(r.U32(&v));      // One past the end fails...
+  EXPECT_EQ(r.position(), 4u);  // ...without moving the cursor.
+}
+
+TEST(BinaryReaderBoundsTest, StringLengthPastTheEndFails) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.U64(100);  // Declares 100 bytes; none follow.
+  BinaryReader r(buf);
+  std::string s;
+  EXPECT_FALSE(r.Str(&s));
+}
+
+TEST(BinaryReaderBoundsTest, StringLengthOverCapFails) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.U64((1ull << 28) + 1);  // One past the 2^28 cap.
+  BinaryReader r(buf);
+  std::string s;
+  EXPECT_FALSE(r.Str(&s));
+}
+
+TEST(BinaryReaderBoundsTest, SkipPastTheEndFails) {
+  std::string buf(8, 'a');
+  BinaryReader r(buf);
+  EXPECT_TRUE(r.Skip(8));
+  EXPECT_FALSE(r.Skip(1));
+  BinaryReader r2(buf);
+  EXPECT_FALSE(r2.Skip(9));
+}
+
+TEST(BinaryReaderBoundsTest, IntVecCountOverCapFails) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.U64((1ull << 28) + 1);
+  BinaryReader r(buf);
+  std::vector<int> v;
+  EXPECT_FALSE(r.IntVec(&v));
+}
+
+TEST(BinaryReaderBoundsTest, NegativeMatrixDimsFail) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.I64(-1);
+  w.I64(4);
+  BinaryReader r(buf);
+  Matrix m;
+  EXPECT_FALSE(r.Mat(&m));
 }
 
 }  // namespace
