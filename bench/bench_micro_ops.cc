@@ -6,13 +6,14 @@
 //
 // With `--json=<path>` (e.g. `bench_micro_ops --json=BENCH_micro_ops.json`)
 // the run enables kernel instrumentation and writes an `rgae.bench.v1`
-// document whose `metrics.histograms` section holds the per-kernel
-// wall-time histograms (kernel.spmm.us, kernel.matmul.us, op.xi.us, …)
-// populated by the instrumented kernels themselves — the repo's
-// machine-readable perf snapshot, schema-checked by
-// scripts/check_bench_json.py. Without the flag (or with
-// RGAE_OBS_ENABLED=0) instrumentation stays off, which is the baseline for
-// the "no measurable slowdown when disabled" guarantee.
+// document whose `profile` block is the calling-context tree of the
+// instrumented kernels' own spans (kernel.spmm, kernel.matmul, op.xi, …:
+// calls, inclusive/exclusive µs, FLOP/byte totals), ending in a calibrated
+// pass with closed-form FLOP expectations — the repo's machine-readable
+// perf snapshot, schema-checked by scripts/check_bench_json.py. Without
+// the flag (or with RGAE_OBS_ENABLED=0) instrumentation stays off, which
+// is the baseline for the "no measurable slowdown when disabled"
+// guarantee.
 
 #include <benchmark/benchmark.h>
 
@@ -193,8 +194,8 @@ void RunCalibratedProfilePass(rgae_bench::BenchObs* obs) {
 
 // Mean microseconds per call of `fn` over `reps` timed runs (one untimed
 // warmup). steady_clock directly: this sweep compares ISA tiers against
-// each other inside one process, so the obs histograms (which aggregate
-// across the whole run) are the wrong tool.
+// each other inside one process, so the profile tree (whose kernel nodes
+// aggregate every tier's calls across the whole run) is the wrong tool.
 double TimeOpUs(int reps, const std::function<void()>& fn) {
   fn();
   const auto start = std::chrono::steady_clock::now();

@@ -51,18 +51,10 @@ int main(int argc, char** argv) {
               100 * outcome.base.scores.acc,
               100 * outcome.rmodel.scores.acc);
 
-  // Re-create the trained models' final embeddings by re-running the
-  // couple with direct access (cheapest: train two fresh models).
-  auto base_model = rgae::CreateModel("GMM-VGAE", graph,
-                                      config.model_options);
-  rgae::RGaeTrainer base_trainer(base_model.get(), config.base);
-  base_trainer.Run();
-  auto r_model = rgae::CreateModel("GMM-VGAE", graph, config.model_options);
-  rgae::RGaeTrainer r_trainer(r_model.get(), config.rvariant);
-  r_trainer.Run();
-
+  // The couple's own final embeddings: the same models whose ACC is above.
   rgae::Rng tsne_rng(7);
-  EmbedAndDump("gmm_vgae", base_model->Embed(), graph, tsne_rng);
-  EmbedAndDump("r_gmm_vgae", r_model->Embed(), graph, tsne_rng);
+  EmbedAndDump("gmm_vgae", outcome.base.result.embedding, graph, tsne_rng);
+  EmbedAndDump("r_gmm_vgae", outcome.rmodel.result.embedding, graph,
+               tsne_rng);
   return 0;
 }

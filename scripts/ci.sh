@@ -20,6 +20,9 @@ step "build"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 step "ctest (unit + schema tests, auto-selected kernel ISA)"
+# The bench-JSON, loadtest (overload drill) and profile schema checks are
+# the bench_json_schema, loadtest_schema and profile_schema ctest cases, so
+# this pass, the scalar pass and the asserts-on pass each run them.
 (cd "${BUILD_DIR}" && ctest --output-on-failure -LE lint -j "${JOBS}")
 
 step "ctest under RGAE_KERNEL=scalar (kernel reference tier)"
@@ -79,22 +82,6 @@ fi
 
 step "rgae_lint"
 python3 "${SOURCE_DIR}/scripts/rgae_lint.py" --root "${SOURCE_DIR}"
-
-step "bench JSON schema check"
-python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \
-  --run "${BUILD_DIR}/bench/bench_micro_ops" \
-  --benchmark_filter=/200 --benchmark_min_time=0.05
-
-step "loadtest JSON schema check (overload drill)"
-RGAE_LOADTEST_SECONDS=0.5 RGAE_LOADTEST_QPS=400,1600,6400 \
-RGAE_LOADTEST_QUEUE=48 RGAE_LOADTEST_DEADLINE_MS=8 RGAE_LOADTEST_SLO_MS=4 \
-python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \
-  --run-loadtest "${BUILD_DIR}/bench/bench_loadtest"
-
-step "profile schema check (calling-context tree + FLOP exactness)"
-python3 "${SOURCE_DIR}/scripts/check_bench_json.py" \
-  --run-profile "${BUILD_DIR}/bench/bench_micro_ops" \
-  --benchmark_filter=/200 --benchmark_min_time=0.05
 
 step "bench baselines (advisory: exact metrics + coverage vs committed)"
 # Wall-clock bands are machine-dependent, so CI compares in advisory mode:

@@ -40,11 +40,11 @@ Enforces invariants that generic tools do not know about:
   R8 timing        -- in src/ (outside src/obs/ and src/core/deadline.*),
                       raw monotonic-clock reads (steady_clock::now,
                       high_resolution_clock::now, Clock::now, NowMicros)
-                      are banned: timing must flow through the RGAE_SPAN /
-                      RGAE_TIMED_KERNEL macros so the profiler and metrics
-                      see it. Product timestamps that are data rather than
-                      instrumentation (phase seconds on TrainResult,
-                      serve_us on QueryResult) opt out with a
+                      are banned: timing must flow through the RGAE_SPAN
+                      span recorder so the profile tree (and the trace
+                      logged from it) sees it. Product timestamps that are
+                      data rather than instrumentation (phase seconds on
+                      TrainResult, serve_us on QueryResult) opt out with a
                       `// Raw timing: <why>` comment on the line or within
                       the three lines above it.
   R9 socket bounds -- in src/, a blocking socket syscall (recv, send,
@@ -163,8 +163,8 @@ SERVE_CAPACITY_RE = re.compile(
 )
 SERVE_BOUNDED_NOTE = "Bounded by admission"
 
-# R8: raw clock reads in src/ must go through the obs macros. src/obs/ is
-# the implementation of those macros; src/core/deadline.* owns deadline
+# R8: raw clock reads in src/ must go through RGAE_SPAN. src/obs/ is the
+# implementation of that recorder; src/core/deadline.* owns deadline
 # arithmetic (and is already the R1 carve-out).
 TIMING_SCOPE = "src/"
 TIMING_ALLOW_PREFIXES = ("src/obs/",)
@@ -321,8 +321,8 @@ def lint_serve_queue_bounds(rel, raw_lines, code_lines, findings):
 
 
 def lint_timing(rel, raw_lines, code_lines, findings):
-    """R8: raw clock reads in src/ must go through RGAE_SPAN /
-    RGAE_TIMED_KERNEL (or carry a `// Raw timing:` opt-out nearby)."""
+    """R8: raw clock reads in src/ must go through RGAE_SPAN (or carry a
+    `// Raw timing:` opt-out nearby)."""
     if not rel.startswith(TIMING_SCOPE):
         return
     if rel.startswith(TIMING_ALLOW_PREFIXES) or rel in TIMING_ALLOW_FILES:
@@ -334,8 +334,8 @@ def lint_timing(rel, raw_lines, code_lines, findings):
         if any(TIMING_NOTE in raw_lines[j] for j in range(lo, i + 1)):
             continue
         findings.append(
-            f"{rel}:{i + 1}: [R8] raw clock read; time through RGAE_SPAN / "
-            "RGAE_TIMED_KERNEL so the profiler sees it, or mark the site "
+            f"{rel}:{i + 1}: [R8] raw clock read; time through RGAE_SPAN "
+            "so the profile tree sees it, or mark the site "
             "`// Raw timing: <why>` when the timestamp is product data "
             "(DESIGN.md §7)"
         )

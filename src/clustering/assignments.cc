@@ -28,7 +28,7 @@ Matrix OneHot(const std::vector<int>& assignments, int k) {
 }
 
 Matrix StudentTAssignments(const Matrix& z, const Matrix& centers) {
-  RGAE_TIMED_KERNEL("kernel.row_softmax");
+  RGAE_SPAN("kernel.row_softmax");
   const int n = z.rows();
   const int k = centers.rows();
   const int d = z.cols();
@@ -71,7 +71,7 @@ Matrix GaussianSoftAssignments(const Matrix& z, const Matrix& centers,
   const int n = z.rows();
   const int k = centers.rows();
   const int d = z.cols();
-  RGAE_TIMED_KERNEL("kernel.row_softmax");
+  RGAE_SPAN("kernel.row_softmax");
   // Cost model: per (i,j) pair a d-dim variance-scaled distance (4d flops)
   // plus log-sum-exp normalization (~5 flops); centers and variances are
   // both streamed per row.

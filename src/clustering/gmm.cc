@@ -135,7 +135,7 @@ GmmModel FitGmm(const Matrix& data, int k, Rng& rng,
 
 void EmIterations(GmmModel* model, const Matrix& data, int iterations,
                   const GmmOptions& options) {
-  RGAE_TIMED_KERNEL("kernel.gmm_em");
+  RGAE_SPAN("kernel.gmm_em");
   const int n = data.rows();
   const int k = model->num_components();
   const int d = model->dim();

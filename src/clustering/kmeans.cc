@@ -82,7 +82,7 @@ KMeansResult RunOnce(const Matrix& data, int k, Rng& rng,
 
 KMeansResult KMeans(const Matrix& data, int k, Rng& rng,
                     const KMeansOptions& options) {
-  RGAE_TIMED_KERNEL("kernel.kmeans");
+  RGAE_SPAN("kernel.kmeans");
   assert(k > 0 && data.rows() >= k);
   KMeansResult best;
   best.inertia = std::numeric_limits<double>::max();

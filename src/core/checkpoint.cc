@@ -21,7 +21,7 @@ bool Fail(std::string* error, const std::string& message) {
 }  // namespace
 
 ModelCheckpoint CaptureModel(GaeModel* model) {
-  RGAE_TIMED_KERNEL("ckpt.capture");
+  RGAE_SPAN("ckpt.capture");
   RGAE_COUNT("ckpt.captures");
   ModelCheckpoint ckpt;
   for (Parameter* p : model->Params()) {
@@ -39,7 +39,7 @@ ModelCheckpoint CaptureModel(GaeModel* model) {
 
 bool RestoreModel(const ModelCheckpoint& checkpoint, GaeModel* model,
                   std::string* error) {
-  RGAE_TIMED_KERNEL("ckpt.restore");
+  RGAE_SPAN("ckpt.restore");
   RGAE_COUNT("ckpt.restores");
   const std::vector<Parameter*> params = model->Params();
   if (checkpoint.values.size() != params.size()) {

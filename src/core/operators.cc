@@ -11,7 +11,7 @@
 namespace rgae {
 
 XiResult OperatorXi(const Matrix& soft_assignments, const XiOptions& options) {
-  RGAE_TIMED_KERNEL("op.xi");
+  RGAE_SPAN("op.xi");
   const int n = soft_assignments.rows();
   const int k = soft_assignments.cols();
   // Cost model: one comparison sweep over the n·k assignment matrix.
@@ -66,7 +66,7 @@ AttributedGraph OperatorUpsilon(const AttributedGraph& original,
                                 const std::vector<int>& omega,
                                 const UpsilonOptions& options,
                                 UpsilonStats* stats) {
-  RGAE_TIMED_KERNEL("op.upsilon");
+  RGAE_SPAN("op.upsilon");
   const int k = p.cols();
   assert(z.rows() == original.num_nodes() && p.rows() == original.num_nodes());
   UpsilonStats local_stats;

@@ -288,6 +288,7 @@ TrainResult RGaeTrainer::TrainClustering() {
     // A run whose pretraining already failed is evaluated at its last good
     // checkpoint and reported as failed instead of trained further.
     result.scores = EvaluateNow(&result.assignments);
+    result.embedding = model_->Embed();
     result.cluster_seconds = Seconds(begin);
     result.failed = failed_;
     result.failure_reason = failure_reason_;
@@ -386,6 +387,7 @@ TrainResult RGaeTrainer::TrainClustering() {
   }
 
   result.scores = EvaluateNow(&result.assignments);
+  result.embedding = model_->Embed();
   result.cluster_seconds = Seconds(begin);
   result.failed = failed_;
   result.failure_reason = failure_reason_;

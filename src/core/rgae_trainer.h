@@ -128,6 +128,10 @@ struct TrainResult {
   ClusteringScores scores;
   std::vector<int> assignments;
   std::vector<EpochRecord> trace;
+  /// The model's final embedding Z, read where `scores` is evaluated. Like
+  /// `assignments` and `trace` it is not journaled: a trial replayed from a
+  /// journal carries an empty matrix.
+  Matrix embedding;
   double pretrain_seconds = 0.0;
   double cluster_seconds = 0.0;
   int cluster_epochs_run = 0;

@@ -71,7 +71,7 @@ std::vector<int> CsrMatrix::RowCols(int r) const {
 }
 
 Matrix CsrMatrix::Multiply(const Matrix& x) const {
-  RGAE_TIMED_KERNEL("kernel.spmm");
+  RGAE_SPAN("kernel.spmm");
   // Cost model: 2 flops per stored entry per output column; bytes = the
   // stored values once plus one x-row read and the dense output.
   RGAE_KERNEL_WORK("kernel.spmm", 2LL * nnz() * x.cols(),
@@ -85,7 +85,7 @@ Matrix CsrMatrix::Multiply(const Matrix& x) const {
 }
 
 Matrix CsrMatrix::MultiplyTransposed(const Matrix& x) const {
-  RGAE_TIMED_KERNEL("kernel.spmm");
+  RGAE_SPAN("kernel.spmm");
   RGAE_KERNEL_WORK("kernel.spmm", 2LL * nnz() * x.cols(),
                    8LL * (nnz() + static_cast<int64_t>(nnz()) * x.cols() +
                           static_cast<int64_t>(cols_) * x.cols()));

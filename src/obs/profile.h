@@ -15,10 +15,11 @@
 namespace rgae {
 namespace obs {
 
-/// Profiling switch, independent of the metrics and trace switches: the
-/// calling-context tree costs one map lookup per span open, so it is only
-/// built when a bench requested a `--json` report (or a test asked for it).
-/// A scope is recorded only when `Enabled() && ProfileEnabled()`.
+/// Profiling switch, which is also the span switch: the calling-context
+/// tree costs one map lookup per span open, so it is only built when a
+/// bench requested a `--json` or `--trace` report (or a test asked for
+/// it). A span is recorded only when `Enabled() && ProfileEnabled()`; the
+/// trace switch (obs/trace.h) adds an event log of the same spans.
 bool ProfileEnabled();
 void SetProfileEnabled(bool enabled);
 
@@ -98,8 +99,8 @@ class Profiler {
 
 /// Reports the nominal arithmetic (`flops`) and memory traffic (`bytes`)
 /// of one kernel invocation to the profiler's innermost open scope, the
-/// enclosing `RGAE_TIMED_KERNEL(name)` node; `name` labels the kernel at the
-/// call site, attribution follows the open scope. The profile tree is the
+/// enclosing `RGAE_SPAN(name)` node; `name` labels the kernel at the call
+/// site, attribution follows the open scope. The profile tree is the
 /// only sink. The cost models are closed-form per kernel (DESIGN.md §6.6)
 /// so tests can assert exact counts; `flops`/`bytes` are evaluated only
 /// when a scope would be recorded (`Enabled() && ProfileEnabled()`).

@@ -13,11 +13,13 @@
 namespace rgae {
 namespace obs {
 
-/// Span recording switch, independent of the metrics switch: histograms are
-/// cheap and bounded, but a full trace of every kernel call can grow large,
-/// so spans are only captured when a trace sink was requested
-/// (`--trace=…` in benches, or `SetTraceEnabled(true)` in tests). A span is
-/// recorded only when `Enabled() && TraceEnabled()`.
+/// Trace switch. Every span is recorded in the profile tree
+/// (`Profiler`, obs/profile.h); the Chrome trace is an optional event log
+/// of the same spans, kept only when a trace sink was requested
+/// (`--trace=…` in benches, or `SetTraceEnabled(true)` in tests), because
+/// a log of every kernel call can grow large where the tree stays bounded.
+/// A span is logged only when `Enabled() && ProfileEnabled() &&
+/// TraceEnabled()`: with profiling off the trace records nothing either.
 bool TraceEnabled();
 void SetTraceEnabled(bool enabled);
 
@@ -72,33 +74,30 @@ class TraceCollector {
   int64_t dropped_ RGAE_GUARDED_BY(mu_) = 0;
 };
 
-/// RAII span: opens on construction, closes on destruction. Inactive (two
-/// branch instructions total) when observability or tracing is off. When
-/// `hist` is non-null the span duration in microseconds is also observed
-/// into the histogram whenever `Enabled()` — even with tracing off — which
-/// is how the per-kernel wall-time histograms are fed. When
-/// `ProfileEnabled()` the span also opens a `Profiler` scope, building the
-/// calling-context tree.
+/// RAII span, the one span recorder: opens on construction, closes on
+/// destruction. Active exactly when `Enabled() && ProfileEnabled()`
+/// (otherwise two branch instructions total); an active span opens a
+/// `Profiler` scope, building the calling-context tree, and when
+/// `TraceEnabled()` it also appends the same span to `TraceCollector`.
 ///
 /// The destructor runs during exception unwinding too, so a span that
-/// throws mid-scope still closes its trace event and profiler scope — and
+/// throws mid-scope still closes its profiler scope and trace event — and
 /// it must never itself throw while another exception is in flight, so
 /// every sink close is wrapped: a failing sink loses one observation, not
 /// the process.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* name, Histogram* hist = nullptr)
-      : hist_(hist) {
-    if (!Enabled()) return;
+  explicit ScopedTimer(const char* name) {
+    if (!Enabled() || !ProfileEnabled()) return;
     start_us_ = NowMicros();
     if (TraceEnabled()) index_ = TraceCollector::Global().BeginSpan(name);
-    if (ProfileEnabled()) scope_ = Profiler::Global().BeginScope(name);
+    scope_ = Profiler::Global().BeginScope(name);
   }
   ~ScopedTimer() noexcept {
     if (start_us_ < 0) return;
     // Monotonic guard: NowMicros is steady, but clamp anyway so a
     // zero-resolution tick (or any clock surprise) can never record a
-    // negative duration into the histogram, trace, or profile.
+    // negative duration into the profile.
     const int64_t elapsed = NowMicros() - start_us_;
     const int64_t dur_us = elapsed > 0 ? elapsed : 0;
     try {
@@ -106,11 +105,7 @@ class ScopedTimer {
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
     try {
-      if (scope_ != nullptr) Profiler::Global().EndScope(scope_, dur_us);
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-    }
-    try {
-      if (hist_ != nullptr) hist_->Observe(static_cast<double>(dur_us));
+      Profiler::Global().EndScope(scope_, dur_us);
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
   }
@@ -118,7 +113,6 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Histogram* hist_;
   int64_t start_us_ = -1;  // -1 = inactive.
   int index_ = -1;
   Profiler::Node* scope_ = nullptr;
@@ -127,19 +121,9 @@ class ScopedTimer {
 #define RGAE_OBS_CONCAT_INNER_(a, b) a##b
 #define RGAE_OBS_CONCAT_(a, b) RGAE_OBS_CONCAT_INNER_(a, b)
 
-/// Opens a trace span for the rest of the enclosing scope.
+/// Opens a span for the rest of the enclosing scope.
 #define RGAE_SPAN(name) \
   ::rgae::obs::ScopedTimer RGAE_OBS_CONCAT_(rgae_span_, __LINE__)(name)
-
-/// Opens a span AND feeds the duration into the histogram `name ## ".us"`.
-/// The histogram pointer is resolved once per call site.
-#define RGAE_TIMED_KERNEL(name)                                              \
-  static ::rgae::obs::Histogram* const RGAE_OBS_CONCAT_(rgae_hist_,          \
-                                                        __LINE__) =          \
-      ::rgae::obs::MetricsRegistry::Global().GetHistogram(                   \
-          ::std::string(name) + ".us");                                      \
-  ::rgae::obs::ScopedTimer RGAE_OBS_CONCAT_(rgae_kspan_, __LINE__)(          \
-      name, RGAE_OBS_CONCAT_(rgae_hist_, __LINE__))
 
 /// Increments the counter `name` (resolved once per call site) when
 /// observability is enabled.

@@ -44,7 +44,7 @@ void ReluRow(Matrix* m, int r) {
 }  // namespace
 
 Matrix ForwardEngine::FullForward(const ModelSnapshot& snapshot) {
-  RGAE_TIMED_KERNEL("serve.full_forward");
+  RGAE_SPAN("serve.full_forward");
   Matrix xw0 = MatMul(snapshot.features, snapshot.w0);
   Matrix h = snapshot.filter.Multiply(xw0);
   for (int r = 0; r < h.rows(); ++r) ReluRow(&h, r);
@@ -53,7 +53,7 @@ Matrix ForwardEngine::FullForward(const ModelSnapshot& snapshot) {
 
 ForwardEngine::ForwardEngine(ModelSnapshot snapshot)
     : snapshot_(std::move(snapshot)), graph_(GraphFromSnapshot(snapshot_)) {
-  RGAE_TIMED_KERNEL("serve.engine_build");
+  RGAE_SPAN("serve.engine_build");
   xw0_ = MatMul(snapshot_.features, snapshot_.w0);
   h_ = snapshot_.filter.Multiply(xw0_);
   for (int r = 0; r < h_.rows(); ++r) ReluRow(&h_, r);
@@ -74,7 +74,7 @@ void ForwardEngine::InvalidateZRows(const std::vector<int>& rows) {
 }
 
 Matrix ForwardEngine::EmbedRows(const std::vector<int>& nodes) {
-  RGAE_TIMED_KERNEL("serve.embed_rows");
+  RGAE_SPAN("serve.embed_rows");
   std::vector<int> stale;
   for (int v : nodes) {
     assert(v >= 0 && v < num_nodes());
@@ -103,7 +103,7 @@ const Matrix& ForwardEngine::Z() {
 }
 
 std::vector<int> ForwardEngine::UpdateGraph(const AttributedGraph& next) {
-  RGAE_TIMED_KERNEL("serve.update_graph");
+  RGAE_SPAN("serve.update_graph");
   assert(next.num_nodes() == graph_.num_nodes());
   assert(next.features().rows() == snapshot_.features.rows() &&
          next.features().cols() == snapshot_.features.cols());

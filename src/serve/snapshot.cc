@@ -246,7 +246,7 @@ bool ValidateSnapshot(const ModelSnapshot& s, std::string* error) {
 
 bool SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
                   std::string* error) {
-  RGAE_TIMED_KERNEL("snap.save");
+  RGAE_SPAN("snap.save");
   RGAE_COUNT("snap.saves");
   if (!ValidateSnapshot(snapshot, error)) return false;
 
@@ -264,7 +264,7 @@ bool SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
 
 bool LoadSnapshot(const std::string& path, ModelSnapshot* snapshot,
                   std::string* error) {
-  RGAE_TIMED_KERNEL("snap.load");
+  RGAE_SPAN("snap.load");
   RGAE_COUNT("snap.loads");
   std::string contents;
   if (!ReadFileToString(path, &contents, error)) return false;

@@ -488,7 +488,7 @@ std::vector<TapeNodeView> Tape::NodeViews() const {
 }
 
 void Tape::Backward(Var loss) {
-  RGAE_TIMED_KERNEL("tape.backward");
+  RGAE_SPAN("tape.backward");
   CheckVar("Backward", loss);
   if (backward_done_) {
     throw TapeError(

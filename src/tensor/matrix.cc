@@ -37,7 +37,7 @@ Matrix Matrix::Transposed() const {
 }
 
 double Matrix::Sum() const {
-  RGAE_TIMED_KERNEL("kernel.reduce");
+  RGAE_SPAN("kernel.reduce");
   // Cost model: 1 flop/entry, 8 bytes/entry read (DESIGN.md §6.6).
   RGAE_KERNEL_WORK("kernel.reduce", static_cast<int64_t>(data_.size()),
                    static_cast<int64_t>(data_.size()) * 8);
@@ -45,7 +45,7 @@ double Matrix::Sum() const {
 }
 
 double Matrix::FrobeniusNorm() const {
-  RGAE_TIMED_KERNEL("kernel.reduce");
+  RGAE_SPAN("kernel.reduce");
   // Cost model: 2 flops/entry (multiply + accumulate), 8 bytes/entry read.
   RGAE_KERNEL_WORK("kernel.reduce", static_cast<int64_t>(data_.size()) * 2,
                    static_cast<int64_t>(data_.size()) * 8);
@@ -75,7 +75,7 @@ std::string Matrix::ShapeString() const {
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  RGAE_TIMED_KERNEL("kernel.matmul");
+  RGAE_SPAN("kernel.matmul");
   // Nominal cost of (m,k)x(k,n): 2mkn flops (the zero-skip below only
   // lowers the achieved count), 8(mk + kn + mn) bytes touched.
   RGAE_KERNEL_WORK(
@@ -91,7 +91,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  RGAE_TIMED_KERNEL("kernel.matmul");
+  RGAE_SPAN("kernel.matmul");
   // aᵀb with a (k,m), b (k,n): 2kmn flops, 8(km + kn + mn) bytes.
   RGAE_KERNEL_WORK(
       "kernel.matmul",
@@ -106,7 +106,7 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  RGAE_TIMED_KERNEL("kernel.matmul");
+  RGAE_SPAN("kernel.matmul");
   // abᵀ with a (m,k), b (n,k): 2mkn flops, 8(mk + nk + mn) bytes.
   RGAE_KERNEL_WORK(
       "kernel.matmul",
@@ -155,7 +155,7 @@ double RowSquaredDistance(const Matrix& a, int i, const Matrix& b, int j) {
 }
 
 double Dot(const Matrix& a, const Matrix& b) {
-  RGAE_TIMED_KERNEL("kernel.reduce");
+  RGAE_SPAN("kernel.reduce");
   // Cost model: 2 flops/entry (multiply + accumulate), 16 bytes/entry read.
   RGAE_KERNEL_WORK("kernel.reduce", static_cast<int64_t>(a.size()) * 2,
                    static_cast<int64_t>(a.size()) * 16);

@@ -11,7 +11,7 @@ Adam::Adam(std::vector<Parameter*> params, Options options)
     : params_(std::move(params)), options_(options) {}
 
 void Adam::Step() {
-  RGAE_TIMED_KERNEL("kernel.adam");
+  RGAE_SPAN("kernel.adam");
   int64_t total_elems = 0;
   for (const Parameter* p : params_) {
     total_elems += static_cast<int64_t>(p->value.size());

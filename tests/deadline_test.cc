@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -267,6 +268,88 @@ TEST(TrialLadderTest, SucceedingTrialNeverClimbsTheLadder) {
   EXPECT_FALSE(out.failed) << out.failure_reason;
   EXPECT_EQ(out.retries, 0);
   EXPECT_FALSE(out.degraded);
+}
+
+// ---------------------------------------------------------------------------
+// The couple ladder (RunCoupleWithPolicy).
+
+CoupleConfig TinyCouple(const std::string& model) {
+  CoupleConfig c;
+  c.model_name = model;
+  c.dataset = "Cora";
+  c.model_options = TinyModelOptions();
+  c.base = TinyTrainerOptions();
+  c.rvariant = TinyTrainerOptions();
+  c.rvariant.use_operators = true;
+  c.rvariant.xi.alpha1 = 0.2;
+  return c;
+}
+
+TEST(TrialLadderTest, CoupleDropsOnlyItsChronicallyFailingHalf) {
+  ClearGlobalStop();
+  const AttributedGraph g = TinyGraph();
+  // A persistent NaN at pretrain epoch 0 of the R half only: every attempt
+  // of it fails, the degraded rung included, while the base half is clean.
+  FaultEvent e;
+  e.type = FaultEvent::Type::kNanWeight;
+  e.epoch = 0;
+  e.pretrain = true;
+  e.once = false;
+  FaultInjector injector({e}, /*seed=*/42);
+  CoupleConfig c = TinyCouple("GAE");
+  c.rvariant.resilience.enabled = true;
+  c.rvariant.resilience.max_rollbacks = 0;
+  c.rvariant.fault_injector = &injector;
+
+  TrialPolicy policy;
+  policy.max_retries = 1;
+  const CoupleOutcome out = RunCoupleWithPolicy(c, g, policy);
+  // The couple climbs as a unit: both halves burned the same rungs.
+  EXPECT_EQ(out.base.retries, 2);
+  EXPECT_EQ(out.rmodel.retries, out.base.retries);
+  EXPECT_TRUE(out.base.degraded);
+  EXPECT_EQ(out.rmodel.degraded, out.base.degraded);
+  EXPECT_EQ(injector.faults_fired(), 3);  // One per attempt.
+  // Only the failing half is dropped; the healthy one keeps its column.
+  EXPECT_FALSE(out.base.failed) << out.base.failure_reason;
+  EXPECT_TRUE(out.rmodel.failed);
+  EXPECT_NE(out.rmodel.failure_reason.find("dropped after 3 attempt(s)"),
+            std::string::npos)
+      << out.rmodel.failure_reason;
+}
+
+TEST(TrialLadderTest, InertPolicyPassesFailedSharedPretrainThrough) {
+  ClearGlobalStop();
+  const AttributedGraph g = TinyGraph();
+  // DGAE pretrains once for both halves; a persistent NaN there fails the
+  // shared pretrain and with it the whole couple.
+  FaultEvent e;
+  e.type = FaultEvent::Type::kNanWeight;
+  e.epoch = 2;
+  e.pretrain = true;
+  e.once = false;
+  FaultInjector injector({e}, /*seed=*/42);
+  CoupleConfig c = TinyCouple("DGAE");
+  c.base.resilience.enabled = true;
+  c.base.resilience.max_rollbacks = 0;
+  c.base.fault_injector = &injector;
+
+  const TrialPolicy inert;
+  ASSERT_FALSE(inert.active());
+  const CoupleOutcome out = RunCoupleWithPolicy(c, g, inert);
+  EXPECT_TRUE(out.base.failed);
+  EXPECT_TRUE(out.rmodel.failed);
+  EXPECT_NE(out.rmodel.failure_reason.find("shared pretrain failed"),
+            std::string::npos)
+      << out.rmodel.failure_reason;
+  // No ladder wrapper and no retry: exactly one attempt ran.
+  for (const TrialOutcome* half : {&out.base, &out.rmodel}) {
+    EXPECT_EQ(half->failure_reason.find("dropped after"), std::string::npos)
+        << half->failure_reason;
+    EXPECT_EQ(half->retries, 0);
+    EXPECT_FALSE(half->degraded);
+  }
+  EXPECT_EQ(injector.faults_fired(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,10 +112,15 @@ std::string MultiplexTmpPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-// Writes raw text and parses it back, for the malformed-input cases.
+// Writes raw text and parses it back, for the malformed-input cases. The
+// file is named after the running test: ctest runs each case as its own
+// process in parallel, and a shared name lets one case read another's text.
 std::optional<MultiplexGraph> LoadFromText(const std::string& contents,
                                            std::string* error) {
-  const std::string path = MultiplexTmpPath("multiplex_case.txt");
+  const std::string path = MultiplexTmpPath(
+      std::string("multiplex_case_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt");
   std::FILE* f = std::fopen(path.c_str(), "w");
   EXPECT_NE(f, nullptr);
   std::fputs(contents.c_str(), f);

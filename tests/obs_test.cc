@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "src/obs/json.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profile.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 
@@ -25,24 +27,55 @@ namespace {
 
 using obs::JsonValue;
 
-/// RAII fixture turning instrumentation + tracing on for one test and
-/// restoring a clean global state afterwards (other tests must not see
-/// stray spans or counts).
+/// RAII fixture turning instrumentation, profiling and tracing on for one
+/// test (spans are recorded only with profiling on) and restoring a clean
+/// global state afterwards (other tests must not see stray spans or counts).
 class ObsScope {
  public:
   ObsScope() {
-    obs::MetricsRegistry::Global().Reset();
-    obs::TraceCollector::Global().Clear();
+    ClearSinks();
     obs::SetEnabled(true);
+    obs::SetProfileEnabled(true);
     obs::SetTraceEnabled(true);
   }
   ~ObsScope() {
     obs::SetEnabled(false);
+    obs::SetProfileEnabled(false);
     obs::SetTraceEnabled(false);
+    ClearSinks();
+  }
+
+  static void ClearSinks() {
     obs::MetricsRegistry::Global().Reset();
     obs::TraceCollector::Global().Clear();
+    obs::Profiler::Global().Reset();
   }
 };
+
+void SumCallsByName(const std::vector<obs::ProfileNode>& nodes,
+                    std::map<std::string, int64_t>* calls) {
+  for (const obs::ProfileNode& node : nodes) {
+    if (node.calls > 0) (*calls)[node.name] += node.calls;
+    SumCallsByName(node.children, calls);
+  }
+}
+
+/// Summed `calls` per span name over every path of the profile tree. A node
+/// that only carries work (the "(unattributed)" root) has no entry.
+std::map<std::string, int64_t> ProfileCallsByName() {
+  std::map<std::string, int64_t> calls;
+  SumCallsByName(obs::Profiler::Global().Snapshot(), &calls);
+  return calls;
+}
+
+/// The single profile-tree node named `name` (a root in these tests).
+const obs::ProfileNode* ProfileRoot(const std::vector<obs::ProfileNode>& roots,
+                                    const std::string& name) {
+  for (const obs::ProfileNode& node : roots) {
+    if (node.name == name) return &node;
+  }
+  return nullptr;
+}
 
 // ---- JSON ------------------------------------------------------------------
 
@@ -187,26 +220,13 @@ TEST(TraceTest, TimersNestIntoATree) {
 }
 
 TEST(TraceTest, DisabledTimersRecordNothing) {
-  obs::MetricsRegistry::Global().Reset();
-  obs::TraceCollector::Global().Clear();
+  ObsScope::ClearSinks();
   ASSERT_FALSE(obs::Enabled());
-  obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram("off.us");
   {
-    obs::ScopedTimer t("off", h);
+    obs::ScopedTimer t("off");
   }
   EXPECT_EQ(obs::TraceCollector::Global().size(), 0u);
-  EXPECT_EQ(h->count(), 0);
-}
-
-TEST(TraceTest, ScopedTimerFeedsHistogramWithoutTracing) {
-  ObsScope scope;
-  obs::SetTraceEnabled(false);  // Metrics on, spans off.
-  obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram("t.us");
-  {
-    obs::ScopedTimer t("t", h);
-  }
-  EXPECT_EQ(h->count(), 1);
-  EXPECT_EQ(obs::TraceCollector::Global().size(), 0u);
+  EXPECT_TRUE(obs::Profiler::Global().Snapshot().empty());
 }
 
 TEST(TraceTest, ChromeTraceRoundTrips) {
@@ -272,9 +292,8 @@ TEST(MetricsTest, HistogramEdgeBuckets) {
 
 TEST(TraceTest, ThrowingSpanStillClosesItsTraceEvent) {
   ObsScope scope;
-  obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram("boom.us");
   try {
-    obs::ScopedTimer t("boom", h);
+    obs::ScopedTimer t("boom");
     throw std::runtime_error("mid-span failure");
   } catch (const std::runtime_error&) {
   }
@@ -284,7 +303,13 @@ TEST(TraceTest, ThrowingSpanStillClosesItsTraceEvent) {
   EXPECT_EQ(events[0].name, "boom");
   // dur_us is -1 while a span is open; unwinding must have closed it.
   EXPECT_GE(events[0].dur_us, 0);
-  EXPECT_EQ(h->count(), 1);
+  // The profiler scope closed too.
+  const std::vector<obs::ProfileNode> roots =
+      obs::Profiler::Global().Snapshot();
+  const obs::ProfileNode* boom = ProfileRoot(roots, "boom");
+  ASSERT_NE(boom, nullptr);
+  EXPECT_EQ(boom->calls, 1);
+  EXPECT_GE(boom->inclusive_us, 0);
   // The thread-local nesting stack unwound too: the next span is a root.
   {
     obs::ScopedTimer t("after");
@@ -298,14 +323,17 @@ TEST(TraceTest, ThrowingSpanStillClosesItsTraceEvent) {
 
 TEST(TraceTest, ZeroDurationSpanIsClampedNonNegative) {
   ObsScope scope;
-  obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram("fast.us");
   // An empty body is faster than the microsecond tick; the monotonic
   // guard must record 0, never a negative duration.
   for (int i = 0; i < 100; ++i) {
-    obs::ScopedTimer t("fast", h);
+    obs::ScopedTimer t("fast");
   }
-  EXPECT_EQ(h->count(), 100);
-  EXPECT_GE(h->min(), 0.0);
+  const std::vector<obs::ProfileNode> roots =
+      obs::Profiler::Global().Snapshot();
+  const obs::ProfileNode* fast = ProfileRoot(roots, "fast");
+  ASSERT_NE(fast, nullptr);
+  EXPECT_EQ(fast->calls, 100);
+  EXPECT_GE(fast->inclusive_us, 0);
   for (const obs::TraceEvent& e :
        obs::TraceCollector::Global().Snapshot()) {
     EXPECT_GE(e.dur_us, 0);
@@ -473,14 +501,9 @@ AttributedGraph TinyGraph(uint64_t seed = 1) {
   return MakeCitationLike(o, rng);
 }
 
-TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
-  ObsScope scope;
-  const AttributedGraph g = TinyGraph();
-  ModelOptions mo;
-  mo.hidden_dim = 12;
-  mo.latent_dim = 6;
-  mo.seed = 5;
-  auto model = CreateModel("DGAE", g, mo);
+/// A short R-DGAE run that reaches every instrumented layer: both training
+/// phases, the tape, Ξ/Υ and checkpointing.
+TrainerOptions InstrumentedTrainerOptions() {
   TrainerOptions opts;
   opts.pretrain_epochs = 8;
   opts.max_cluster_epochs = 6;
@@ -490,8 +513,24 @@ TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
   opts.use_operators = true;
   opts.xi.alpha1 = 0.2;
   opts.resilience.enabled = true;
+  return opts;
+}
+
+TrainResult RunInstrumentedTrainer(const TrainerOptions& opts) {
+  const AttributedGraph g = TinyGraph();
+  ModelOptions mo;
+  mo.hidden_dim = 12;
+  mo.latent_dim = 6;
+  mo.seed = 5;
+  auto model = CreateModel("DGAE", g, mo);
   RGaeTrainer trainer(model.get(), opts);
-  const TrainResult result = trainer.Run();
+  return trainer.Run();
+}
+
+TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
+  ObsScope scope;
+  const TrainerOptions opts = InstrumentedTrainerOptions();
+  const TrainResult result = RunInstrumentedTrainer(opts);
   EXPECT_FALSE(result.failed);
 
   // Spans: both phases, per-epoch spans nested under them, kernels below.
@@ -526,12 +565,15 @@ TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
   EXPECT_GE(pretrain_epochs, opts.pretrain_epochs);
   EXPECT_TRUE(kernel_under_epoch);
 
-  // Metrics: kernel histograms and trainer counters are populated.
+  // Profile tree: the same spans, aggregated per node.
+  std::map<std::string, int64_t> calls = ProfileCallsByName();
+  for (const char* name :
+       {"kernel.spmm", "kernel.matmul", "tape.backward", "op.xi"}) {
+    EXPECT_GT(calls[name], 0) << name;
+  }
+
+  // Metrics: trainer counters are populated.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  EXPECT_GT(reg.GetHistogram("kernel.spmm.us")->count(), 0);
-  EXPECT_GT(reg.GetHistogram("kernel.matmul.us")->count(), 0);
-  EXPECT_GT(reg.GetHistogram("tape.backward.us")->count(), 0);
-  EXPECT_GT(reg.GetHistogram("op.xi.us")->count(), 0);
   EXPECT_GE(reg.GetCounter("trainer.epochs.pretrain")->value(),
             opts.pretrain_epochs);
   EXPECT_GT(reg.GetCounter("tape.op.spmm")->value(), 0);
@@ -550,6 +592,49 @@ TEST(ObsIntegrationTest, TrainerRunPopulatesSpansAndMetrics) {
   ASSERT_TRUE(JsonValue::Parse(buffer.str(), &parsed, &error)) << error;
   EXPECT_GT(parsed.Get("traceEvents")->size(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(ObsIntegrationTest, TraceLogsExactlyTheProfiledSpans) {
+  // The Chrome trace is an event log of the profiled spans: per span name,
+  // its closed trace events number exactly that name's summed `calls` in
+  // the profile tree — across threads and through a real training run.
+  const auto record_spans = [] {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 2; ++t) {
+      workers.emplace_back([] {
+        for (int i = 0; i < 50; ++i) {
+          obs::ScopedTimer outer("same.outer");
+          obs::ScopedTimer inner("same.inner");
+          if (i % 2 == 0) obs::ScopedTimer leaf("same.leaf");
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    TrainerOptions opts = InstrumentedTrainerOptions();
+    opts.pretrain_epochs = 4;
+    opts.max_cluster_epochs = 3;
+    EXPECT_FALSE(RunInstrumentedTrainer(opts).failed);
+  };
+
+  ObsScope scope;
+  record_spans();
+  std::map<std::string, int64_t> logged;
+  for (const obs::TraceEvent& e : obs::TraceCollector::Global().Snapshot()) {
+    if (e.dur_us >= 0) ++logged[e.name];
+  }
+  EXPECT_EQ(obs::TraceCollector::Global().dropped(), 0);
+  EXPECT_EQ(logged["same.outer"], 100);
+  EXPECT_EQ(logged["same.leaf"], 50);
+  EXPECT_GT(logged["op.xi"], 0);
+  EXPECT_GT(logged["kernel.spmm"], 0);
+  EXPECT_EQ(logged, ProfileCallsByName());
+
+  // Trace on, profile off: spans are not recorded, so neither sink fills.
+  ObsScope::ClearSinks();
+  obs::SetProfileEnabled(false);
+  record_spans();
+  EXPECT_EQ(obs::TraceCollector::Global().size(), 0u);
+  EXPECT_TRUE(obs::Profiler::Global().Snapshot().empty());
 }
 
 }  // namespace

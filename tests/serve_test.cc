@@ -897,12 +897,15 @@ TEST(ServeEngineTest, DestructorDrainsPendingQueries) {
 
 TEST(ServeEngineTest, WorkerPoolTraceWritesStayConsistent) {
   // Serve workers and issuer threads all write spans into the global
-  // TraceCollector concurrently; the collector must come out consistent
-  // (every span closed, parents on the same thread, nothing torn). This
-  // test is the tsan target for the obs/serve seam.
+  // Profiler and TraceCollector concurrently; both must come out
+  // consistent (every span closed, parents on the same thread, nothing
+  // torn). This test is the tsan and lockcheck target for the obs/serve
+  // seam, concurrent profiler scopes included.
   obs::MetricsRegistry::Global().Reset();
   obs::TraceCollector::Global().Clear();
+  obs::Profiler::Global().Reset();
   obs::SetEnabled(true);
+  obs::SetProfileEnabled(true);
   obs::SetTraceEnabled(true);
 
   const AttributedGraph g = TinyGraph();
@@ -931,16 +934,23 @@ TEST(ServeEngineTest, WorkerPoolTraceWritesStayConsistent) {
   const std::vector<obs::TraceEvent> events =
       obs::TraceCollector::Global().Snapshot();
   EXPECT_FALSE(events.empty());
-  bool saw_batch_span = false;
+  int64_t batch_spans = 0;
   for (const obs::TraceEvent& e : events) {
     EXPECT_GE(e.dur_us, 0) << e.name;  // Closed, never torn.
     if (e.parent >= 0) {
       ASSERT_LT(static_cast<size_t>(e.parent), events.size());
       EXPECT_EQ(events[static_cast<size_t>(e.parent)].tid, e.tid) << e.name;
     }
-    if (e.name == "serve.batch") saw_batch_span = true;
+    if (e.name == "serve.batch") ++batch_spans;
   }
-  EXPECT_TRUE(saw_batch_span);
+  EXPECT_GT(batch_spans, 0);
+  // The profile tree counted every one of those spans, whichever worker
+  // opened it.
+  int64_t batch_calls = 0;
+  for (const obs::ProfileNode& root : obs::Profiler::Global().Snapshot()) {
+    if (root.name == "serve.batch") batch_calls += root.calls;
+  }
+  EXPECT_EQ(batch_calls, batch_spans);
 
   // The admission/engine counters surfaced through the registry
   // (offered = admitted here: nothing was shed in this drill).
@@ -952,9 +962,11 @@ TEST(ServeEngineTest, WorkerPoolTraceWritesStayConsistent) {
   EXPECT_GE(batches->value(), 1);
 
   obs::SetTraceEnabled(false);
+  obs::SetProfileEnabled(false);
   obs::SetEnabled(false);
   obs::MetricsRegistry::Global().Reset();
   obs::TraceCollector::Global().Clear();
+  obs::Profiler::Global().Reset();
 }
 
 }  // namespace
